@@ -114,19 +114,10 @@ func serve(conn net.Conn, encl *sgx.Enclave, heap *suvm.Heap, table *kv.FixedTab
 	th := encl.NewThread()
 	th.Enter()
 	defer th.Exit()
-	// Mirror each real TCP transfer as a simulated syscall on the
-	// exit-less engine, so STATS cycle counts include the I/O path.
-	sock := netsim.NewSocket(encl.Platform(), 64<<10)
-	defer sock.Close()
-	q := eng.NewQueue()
-	account := func(op exitio.Op) bool {
-		q.Push(op)
-		cqes, err := q.SubmitAndWait(th)
-		if err != nil || exitio.FirstErr(cqes) != nil {
-			return false
-		}
-		return true
-	}
+	// Mirror each real TCP transfer as a simulated syscall on an
+	// exit-less endpoint, so STATS cycle counts include the I/O path.
+	ep := exitio.NewEndpoint(eng.NewQueue(), netsim.NewSocket(encl.Platform(), 64<<10))
+	defer ep.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
@@ -134,7 +125,7 @@ func serve(conn net.Conn, encl *sgx.Enclave, heap *suvm.Heap, table *kv.FixedTab
 		if err != nil {
 			return
 		}
-		if !account(exitio.Recv{Sock: sock, N: len(line)}) {
+		if ep.Recv(th, len(line)) != nil {
 			return
 		}
 		fields := strings.Fields(line)
@@ -195,7 +186,7 @@ func serve(conn net.Conn, encl *sgx.Enclave, heap *suvm.Heap, table *kv.FixedTab
 			fmt.Fprintf(w, "ERROR unknown command\n")
 		}
 		if n := w.Buffered(); n > 0 {
-			if !account(exitio.Send{Sock: sock, N: n}) {
+			if ep.Send(th, n) != nil {
 				return
 			}
 		}

@@ -3,6 +3,7 @@ package eleos
 import (
 	"testing"
 
+	"eleos/internal/exitio"
 	"eleos/internal/kv"
 	"eleos/internal/loadgen"
 	"eleos/internal/pserver"
@@ -34,12 +35,16 @@ func runDeterministicWorkload(t *testing.T) [6]uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng, err := exitio.NewEngine(exitio.ModeOCall, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := pserver.New(plat, th, pserver.Config{
 		DataBytes: 16 << 20,
 		Layout:    kv.Chaining,
 		Placement: pserver.PlaceSUVM,
-		Syscall:   pserver.SysOCall,
 		Heap:      heap,
+		Engine:    eng,
 		Encrypted: true,
 	})
 	if err != nil {

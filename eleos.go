@@ -445,13 +445,6 @@ func (e *Enclave) Heap() *suvm.Heap { return e.heap }
 // call TickNow to balloon and reclaim at deterministic points.
 func (e *Enclave) Swapper() *Swapper { return e.swapper }
 
-// Stats returns the SUVM counters.
-//
-// Deprecated: use Runtime.Stats (whose Heaps list carries every live
-// enclave's counters) or Heap().Stats() directly. Kept as a thin
-// wrapper for existing call sites.
-func (e *Enclave) Stats() HeapStats { return e.heap.Stats() }
-
 // NewSegment allocates inter-enclave shared secure memory on the
 // runtime's machine; mount it with Ctx.Attach. pageSize must match the
 // EPC++ page size of every attaching enclave (4096 unless tuned).

@@ -3,6 +3,8 @@ package eleos
 import (
 	"errors"
 	"testing"
+
+	"eleos/internal/mckv"
 )
 
 // Every sentinel must be matchable with errors.Is through the public
@@ -236,6 +238,19 @@ func TestSentinelErrorTable(t *testing.T) {
 		}},
 		{"PoolStopped/CallBatch", ErrPoolStopped, func(t *testing.T) error {
 			return closedRT.Pool().CallBatch(closedCtx.Thread(), []func(*HostCtx){func(h *HostCtx) {}})
+		}},
+		{"PoolStopped/mckv ServeGet", ErrPoolStopped, func(t *testing.T) error {
+			store, err := mckv.NewStore(closedRT.Platform(), closedCtx.Thread(), mckv.Config{
+				MemLimitBytes: 1 << 20,
+				Placement:     mckv.PlaceEnclave,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := mckv.NewServerIO(store, closedRT.IOEngine())
+			defer srv.Close()
+			_, err = srv.ServeGet(closedCtx.Thread(), []byte("key"))
+			return err
 		}},
 
 		{"ConflictingOptions/fixed pool with worker bounds", ErrConflictingOptions, func(t *testing.T) error {

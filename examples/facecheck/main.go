@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"eleos/internal/exitio"
 	"eleos/internal/faceverify"
 	"eleos/internal/rpc"
 	"eleos/internal/sgx"
@@ -48,10 +49,11 @@ func main() {
 	pool := rpc.NewPool(plat, 2, 128)
 	pool.Start()
 	defer pool.Stop()
-	srv, err := faceverify.NewServer(store, faceverify.SysRPC, pool)
+	eng, err := exitio.NewEngine(exitio.ModeRPCSync, pool)
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv := faceverify.NewServerIO(store, eng)
 	defer srv.Close()
 
 	exits0, _, _, _, _ := encl.Stats().Snapshot()

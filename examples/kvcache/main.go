@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"eleos/internal/exitio"
 	"eleos/internal/mckv"
 	"eleos/internal/rpc"
 	"eleos/internal/sgx"
@@ -48,10 +49,11 @@ func main() {
 	pool := rpc.NewPool(plat, 2, 128)
 	pool.Start()
 	defer pool.Stop()
-	srv, err := mckv.NewServer(store, mckv.SysRPC, pool)
+	eng, err := exitio.NewEngine(exitio.ModeRPCSync, pool)
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv := mckv.NewServerIO(store, eng)
 	defer srv.Close()
 
 	hwBase := plat.Driver.Stats().Faults // setup faults (EPC++ pinning, metadata)

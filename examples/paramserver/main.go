@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"eleos/internal/cache"
+	"eleos/internal/exitio"
 	"eleos/internal/kv"
 	"eleos/internal/loadgen"
 	"eleos/internal/pserver"
@@ -24,7 +25,7 @@ const (
 	requests = 5000
 )
 
-func run(name string, placement pserver.Placement, sys pserver.SyscallMode) float64 {
+func run(name string, placement pserver.Placement, mode exitio.Mode) float64 {
 	plat, err := sgx.NewPlatform(sgx.Config{})
 	if err != nil {
 		log.Fatal(err)
@@ -48,19 +49,22 @@ func run(name string, placement pserver.Placement, sys pserver.SyscallMode) floa
 			}
 		}
 	}
-	if sys == pserver.SysRPC {
+	if mode.NeedsPool() {
 		pool = rpc.NewPool(plat, 2, 128)
 		pool.Start()
 		defer pool.Stop()
 		plat.LLC.EnablePartitioning(4)
 	}
+	eng, err := exitio.NewEngine(mode, pool)
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv, err := pserver.New(plat, th, pserver.Config{
 		DataBytes: dataBytes,
 		Layout:    kv.OpenAddressing,
 		Placement: placement,
-		Syscall:   sys,
 		Heap:      heap,
-		Pool:      pool,
+		Engine:    eng,
 		Encrypted: true,
 	})
 	if err != nil {
@@ -84,9 +88,9 @@ func run(name string, placement pserver.Placement, sys pserver.SyscallMode) floa
 func main() {
 	fmt.Printf("parameter server, %dMB of data, %d single-update requests\n\n",
 		dataBytes>>20, requests)
-	base := run("untrusted (no SGX)", pserver.PlaceHost, pserver.SysNative)
-	sgxCyc := run("SGX + OCALL syscalls", pserver.PlaceEnclave, pserver.SysOCall)
-	eleos := run("Eleos (SUVM + exit-less RPC)", pserver.PlaceSUVM, pserver.SysRPC)
+	base := run("untrusted (no SGX)", pserver.PlaceHost, exitio.ModeDirect)
+	sgxCyc := run("SGX + OCALL syscalls", pserver.PlaceEnclave, exitio.ModeOCall)
+	eleos := run("Eleos (SUVM + exit-less RPC)", pserver.PlaceSUVM, exitio.ModeRPCSync)
 	fmt.Printf("\nSGX slowdown over untrusted:   %.1fx\n", sgxCyc/base)
 	fmt.Printf("Eleos slowdown over untrusted: %.1fx\n", eleos/base)
 	fmt.Printf("Eleos speedup over SGX:        %.1fx\n", sgxCyc/eleos)

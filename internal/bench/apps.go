@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"eleos/internal/exitio"
 	"eleos/internal/faceverify"
 	"eleos/internal/loadgen"
 	"eleos/internal/mckv"
@@ -22,16 +23,16 @@ func init() {
 type faceConfig struct {
 	name      string
 	placement faceverify.Placement
-	sys       faceverify.SyscallMode
+	sys       exitio.Mode
 	epcpp     uint64
 }
 
 func faceConfigs() []faceConfig {
 	return []faceConfig{
-		{"native (no sgx)", faceverify.PlaceHost, faceverify.SysNative, 0},
-		{"sgx vanilla", faceverify.PlaceEnclave, faceverify.SysOCall, 0},
-		{"eleos rpc", faceverify.PlaceEnclave, faceverify.SysRPC, 0},
-		{"eleos rpc+suvm", faceverify.PlaceSUVM, faceverify.SysRPC, 60 << 20},
+		{"native (no sgx)", faceverify.PlaceHost, exitio.ModeDirect, 0},
+		{"sgx vanilla", faceverify.PlaceEnclave, exitio.ModeOCall, 0},
+		{"eleos rpc", faceverify.PlaceEnclave, exitio.ModeRPCSync, 0},
+		{"eleos rpc+suvm", faceverify.PlaceSUVM, exitio.ModeRPCSync, 60 << 20},
 	}
 }
 
@@ -66,9 +67,13 @@ func fig10(rc RunConfig) (*Result, error) {
 		} else {
 			v = enclaveEnv(c.epcpp)
 		}
-		if c.sys == faceverify.SysRPC {
+		if c.sys == exitio.ModeRPCSync {
 			v.withPool(2)
 			v.plat.LLC.EnablePartitioning(4)
+		}
+		eng, err := exitio.NewEngine(c.sys, v.pool)
+		if err != nil {
+			return nil, fmt.Errorf("fig10 %s: %w", c.name, err)
 		}
 		store, err := faceverify.NewStore(v.plat, v.th, faceverify.Config{
 			Identities: identities,
@@ -92,12 +97,8 @@ func fig10(rc RunConfig) (*Result, error) {
 					th = v.encl.NewThread()
 					th.Enter()
 				}
-				srv, err := faceverify.NewServer(store, c.sys, v.pool)
-				if err != nil {
-					return nil, err
-				}
 				ths = append(ths, th)
-				srvs = append(srvs, srv)
+				srvs = append(srvs, faceverify.NewServerIO(store, eng))
 			}
 			runRound := func(perThread int) {
 				var wg sync.WaitGroup
@@ -154,7 +155,7 @@ func fig10(rc RunConfig) (*Result, error) {
 type mcConfig struct {
 	name      string
 	placement mckv.Placement
-	sys       mckv.SyscallMode
+	sys       exitio.Mode
 	epcpp     uint64
 	poolBytes uint64 // 0 = the sweep's default
 }
@@ -169,9 +170,13 @@ func mcRun(rc RunConfig, c mcConfig, valueBytes, threads int, poolBytes uint64) 
 		v = enclaveEnv(c.epcpp)
 	}
 	defer v.close()
-	if c.sys == mckv.SysRPC {
+	if c.sys == exitio.ModeRPCSync {
 		v.withPool(2)
 		v.plat.LLC.EnablePartitioning(4)
+	}
+	eng, err := exitio.NewEngine(c.sys, v.pool)
+	if err != nil {
+		return 0, err
 	}
 	if c.poolBytes != 0 {
 		poolBytes = c.poolBytes
@@ -207,9 +212,7 @@ func mcRun(rc RunConfig, c mcConfig, valueBytes, threads int, poolBytes uint64) 
 			ths[i] = v.encl.NewThread()
 			ths[i].Enter()
 		}
-		if srvs[i], err = mckv.NewServer(store, c.sys, v.pool); err != nil {
-			return 0, err
-		}
+		srvs[i] = mckv.NewServerIO(store, eng)
 	}
 	ops := rc.Ops / 4
 	run := func(perThread int) error {
@@ -256,12 +259,12 @@ func mcRun(rc RunConfig, c mcConfig, valueBytes, threads int, poolBytes uint64) 
 
 func mcConfigs() []mcConfig {
 	return []mcConfig{
-		{"graphene (ocall)", mckv.PlaceEnclave, mckv.SysOCall, 0, 0},
-		{"eleos rpc", mckv.PlaceEnclave, mckv.SysRPC, 0, 0},
-		{"eleos rpc+suvm", mckv.PlaceSUVM, mckv.SysRPC, 60 << 20, 0},
-		{"eleos rpc+suvm-direct", mckv.PlaceSUVMDirect, mckv.SysRPC, 60 << 20, 0},
-		{"graphene 20MB (no faults)", mckv.PlaceEnclave, mckv.SysOCall, 0, 20 << 20},
-		{"native (no sgx)", mckv.PlaceHost, mckv.SysNative, 0, 0},
+		{"graphene (ocall)", mckv.PlaceEnclave, exitio.ModeOCall, 0, 0},
+		{"eleos rpc", mckv.PlaceEnclave, exitio.ModeRPCSync, 0, 0},
+		{"eleos rpc+suvm", mckv.PlaceSUVM, exitio.ModeRPCSync, 60 << 20, 0},
+		{"eleos rpc+suvm-direct", mckv.PlaceSUVMDirect, exitio.ModeRPCSync, 60 << 20, 0},
+		{"graphene 20MB (no faults)", mckv.PlaceEnclave, exitio.ModeOCall, 0, 20 << 20},
+		{"native (no sgx)", mckv.PlaceHost, exitio.ModeDirect, 0, 0},
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"math/rand"
 
+	"eleos/internal/exitio"
 	"eleos/internal/kv"
 	"eleos/internal/loadgen"
 	"eleos/internal/phys"
@@ -22,10 +23,15 @@ func init() {
 }
 
 // runPServer drives ops requests of nkeys random updates against a
-// freshly built server and returns (endToEndCycles, inEnclaveCycles).
-func runPServer(v *env, cfg pserver.Config, ops, nkeys int, hot uint64, warm int) (uint64, uint64) {
+// freshly built server whose socket dispatches in mode, and returns
+// (endToEndCycles, inEnclaveCycles).
+func runPServer(v *env, mode exitio.Mode, cfg pserver.Config, ops, nkeys int, hot uint64, warm int) (uint64, uint64) {
+	eng, err := exitio.NewEngine(mode, v.pool)
+	if err != nil {
+		panic(err)
+	}
 	cfg.Heap = v.heap
-	cfg.Pool = v.pool
+	cfg.Engine = eng
 	cfg.Encrypted = true
 	srv, err := pserver.New(v.plat, v.th, cfg)
 	if err != nil {
@@ -69,22 +75,22 @@ func fig1(rc RunConfig) (*Result, error) {
 		warm := ops / 10
 
 		hv := hostEnv()
-		hostCyc, _ := runPServer(hv, pserver.Config{
+		hostCyc, _ := runPServer(hv, exitio.ModeDirect, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceHost, Syscall: pserver.SysNative,
+			Placement: pserver.PlaceHost,
 		}, ops, 1, 0, warm)
 
 		sv := enclaveEnv(0)
-		sgxCyc, _ := runPServer(sv, pserver.Config{
+		sgxCyc, _ := runPServer(sv, exitio.ModeOCall, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave, Syscall: pserver.SysOCall,
+			Placement: pserver.PlaceEnclave,
 		}, ops, 1, 0, warm)
 
 		ev := enclaveEnv(60 << 20).withPool(2)
 		ev.plat.LLC.EnablePartitioning(4)
-		eleosCyc, _ := runPServer(ev, pserver.Config{
+		eleosCyc, _ := runPServer(ev, exitio.ModeRPCSync, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceSUVM, Syscall: pserver.SysRPC,
+			Placement: pserver.PlaceSUVM,
 		}, ops, 1, 0, warm)
 		ev.close()
 
@@ -183,15 +189,15 @@ func fig2a(rc RunConfig) (*Result, error) {
 	for _, nk := range []int{1, 4, 8, 16, 32, 64} {
 		ops := rc.Ops / maxInt(1, nk/8)
 		hv := hostEnv()
-		hostCyc, _ := runPServer(hv, pserver.Config{
+		hostCyc, _ := runPServer(hv, exitio.ModeDirect, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceHost, Syscall: pserver.SysNative,
+			Placement: pserver.PlaceHost,
 		}, ops, nk, hot, ops/10)
 
 		sv := enclaveEnv(0)
-		_, inEncl := runPServer(sv, pserver.Config{
+		_, inEncl := runPServer(sv, exitio.ModeOCall, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave, Syscall: pserver.SysOCall,
+			Placement: pserver.PlaceEnclave,
 		}, ops, nk, hot, ops/10)
 
 		t.AddRow(nk, perOp(hostCyc, ops), perOp(inEncl, ops),
@@ -215,9 +221,9 @@ func fig2b(rc RunConfig) (*Result, error) {
 		var inEncl [2]uint64
 		for i, layout := range []kv.Layout{kv.OpenAddressing, kv.Chaining} {
 			sv := enclaveEnv(0)
-			_, ie := runPServer(sv, pserver.Config{
+			_, ie := runPServer(sv, exitio.ModeOCall, pserver.Config{
 				DataBytes: size, Layout: layout,
-				Placement: pserver.PlaceEnclave, Syscall: pserver.SysOCall,
+				Placement: pserver.PlaceEnclave,
 			}, ops, nk, 0, ops/10)
 			inEncl[i] = ie
 		}
@@ -239,21 +245,21 @@ func fig6a(rc RunConfig) (*Result, error) {
 	for _, nk := range []int{1, 2, 4, 8, 16, 32, 64} {
 		ops := rc.Ops / maxInt(1, nk/8)
 		hv := hostEnv()
-		hostCyc, _ := runPServer(hv, pserver.Config{
+		hostCyc, _ := runPServer(hv, exitio.ModeDirect, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceHost, Syscall: pserver.SysNative,
+			Placement: pserver.PlaceHost,
 		}, ops, nk, 0, ops/10)
 
 		ov := enclaveEnv(0)
-		ocallCyc, _ := runPServer(ov, pserver.Config{
+		ocallCyc, _ := runPServer(ov, exitio.ModeOCall, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave, Syscall: pserver.SysOCall,
+			Placement: pserver.PlaceEnclave,
 		}, ops, nk, 0, ops/10)
 
 		rv := enclaveEnv(0).withPool(2)
-		rpcCyc, _ := runPServer(rv, pserver.Config{
+		rpcCyc, _ := runPServer(rv, exitio.ModeRPCSync, pserver.Config{
 			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave, Syscall: pserver.SysRPC,
+			Placement: pserver.PlaceEnclave,
 		}, ops, nk, 0, ops/10)
 		rv.close()
 
@@ -286,9 +292,9 @@ func fig6b(rc RunConfig) (*Result, error) {
 			if cat {
 				rv.plat.LLC.EnablePartitioning(4)
 			}
-			_, ie := runPServer(rv, pserver.Config{
+			_, ie := runPServer(rv, exitio.ModeRPCSync, pserver.Config{
 				DataBytes: size, Layout: kv.OpenAddressing,
-				Placement: pserver.PlaceEnclave, Syscall: pserver.SysRPC,
+				Placement: pserver.PlaceEnclave,
 			}, ops, nk, hot, ops/10)
 			rv.close()
 			inEncl[i] = ie
@@ -310,14 +316,14 @@ func fig6c(rc RunConfig) (*Result, error) {
 	for _, nk := range []int{1, 2, 4, 8, 16, 32} {
 		ops := rc.Ops / maxInt(1, nk/4)
 		var inEncl [2]uint64
-		for i, sys := range []pserver.SyscallMode{pserver.SysOCall, pserver.SysRPC} {
+		for i, mode := range []exitio.Mode{exitio.ModeOCall, exitio.ModeRPCSync} {
 			v := enclaveEnv(0)
-			if sys == pserver.SysRPC {
+			if mode == exitio.ModeRPCSync {
 				v.withPool(2)
 			}
-			_, ie := runPServer(v, pserver.Config{
+			_, ie := runPServer(v, mode, pserver.Config{
 				DataBytes: size, Layout: kv.Chaining,
-				Placement: pserver.PlaceEnclave, Syscall: sys,
+				Placement: pserver.PlaceEnclave,
 			}, ops, nk, 0, ops/10)
 			v.close()
 			inEncl[i] = ie

@@ -1,13 +1,14 @@
 // Package exitio is the unified exit-less I/O path: a typed,
 // io_uring-style submission/completion layer over the simulator's OS
 // services (netsim sockets, fsim files). Instead of each server
-// hand-rolling a SyscallMode switch and issuing one synchronous
+// hand-rolling a dispatch switch and issuing one synchronous
 // pool.Call per recv and per send, enclave code describes operations as
 // op structs, stages them on a per-thread Queue, optionally links
 // consecutive ops into a chain that crosses the trust boundary on a
 // single doorbell (the paper's batching idea applied to the request
 // loop: SEND of response i rides the same submission as RECV of request
-// i+1), and reaps typed completions.
+// i+1), and reaps typed completions. Endpoint is that request loop for
+// one socket, the recv/send path every server and daemon shares.
 //
 // The engine carries a pluggable dispatch mode deciding how a staged
 // chain reaches the untrusted side: executed inline on the caller's
@@ -38,8 +39,7 @@ import (
 // Mode selects how a submitted chain reaches the OS.
 type Mode int
 
-// Dispatch modes. The zero value is the native baseline, mirroring the
-// SyscallMode zero values the per-server switches used.
+// Dispatch modes. The zero value is the native baseline.
 const (
 	// ModeDirect executes ops inline on the caller's host context —
 	// the untrusted-server baseline (no enclave, no exits).

@@ -72,7 +72,8 @@ func TestEngineRequiresPool(t *testing.T) {
 }
 
 // All four modes complete a socket request/response pair with correct
-// typed completions.
+// typed completions. The pair is linked: a socket allows one in-flight
+// chain at a time, and two async chains may run on two workers at once.
 func TestModesCompleteSocketOps(t *testing.T) {
 	for _, mode := range []exitio.Mode{exitio.ModeDirect, exitio.ModeOCall, exitio.ModeRPCSync, exitio.ModeRPCAsync} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -83,7 +84,7 @@ func TestModesCompleteSocketOps(t *testing.T) {
 
 			sock.Deliver([]byte("request"))
 			q.PushTagged(exitio.Recv{Sock: sock, N: 128}, 7)
-			q.Push(exitio.Send{Sock: sock, N: 64})
+			q.PushLinked(exitio.Send{Sock: sock, N: 64})
 			cqes, err := q.SubmitAndWait(e.th)
 			if err != nil {
 				t.Fatal(err)
@@ -124,8 +125,12 @@ func TestLinkingCoalescesDoorbells(t *testing.T) {
 		t.Fatalf("linked chain stats = %+v, want 1 doorbell / 1 chain / 3 ops / 2 linked", st)
 	}
 
+	// Two unlinked chains may run concurrently, so each gets its own
+	// socket.
+	sock2 := netsim.NewSocket(e.plat, 4096)
+	defer sock2.Close()
 	q.Push(exitio.Send{Sock: sock, N: 32})
-	q.Push(exitio.Recv{Sock: sock, N: 32})
+	q.Push(exitio.Recv{Sock: sock2, N: 32})
 	if _, err := q.SubmitAndWait(e.th); err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +138,38 @@ func TestLinkingCoalescesDoorbells(t *testing.T) {
 	if st.Doorbells != 3 || st.Chains != 3 || st.Ops != 5 || st.Linked != 2 {
 		t.Fatalf("unlinked stats = %+v, want 3 doorbells / 3 chains / 5 ops / 2 linked", st)
 	}
+}
+
+// An endpoint defers a send only while its queue's live mode is
+// rpc-async, links the next receive onto it, and flushes an earlier
+// deferred send before reusing the descriptor.
+func TestEndpointFollowsLiveMode(t *testing.T) {
+	e, eng := newEnv(t, exitio.ModeRPCAsync)
+	ep := exitio.NewEndpoint(eng.NewQueue(), netsim.NewSocket(e.plat, 4096))
+	defer ep.Close()
+	q := ep.Queue()
+	step := func(what string, err error, staged int) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if q.Staged() != staged {
+			t.Fatalf("%s: %d ops staged, want %d", what, q.Staged(), staged)
+		}
+	}
+	step("recv", ep.Recv(e.th, 32), 0)
+	step("async send", ep.Send(e.th, 32), 1)
+	step("linked recv", ep.Recv(e.th, 32), 0)
+	step("async send", ep.Send(e.th, 32), 1)
+	step("second async send", ep.Send(e.th, 32), 1)
+	step("flush", ep.Flush(e.th), 0)
+	if st := eng.Stats(); st.Doorbells != 4 || st.Ops != 5 || st.Linked != 1 {
+		t.Fatalf("stats = %+v, want 4 doorbells / 5 ops / 1 linked", st)
+	}
+	if err := q.SetMode(e.th, exitio.ModeRPCSync); err != nil {
+		t.Fatal(err)
+	}
+	step("sync send", ep.Send(e.th, 32), 0)
 }
 
 // A failing op cancels the rest of its chain but not the next chain.
@@ -272,14 +309,23 @@ func TestSteadyStateSubmitReapAllocs(t *testing.T) {
 	// one heap copy per Push.
 	pw := &exitio.Pwrite{FS: fs, FD: fd, Off: 0, Data: data}
 	pr := &exitio.Pread{FS: fs, FD: fd, Off: 0, Buf: data}
+	// An endpoint request/response reuses the endpoint's own descriptors.
+	ep := exitio.NewEndpoint(eng.NewQueue(), netsim.NewSocket(e.plat, 4096))
+	defer ep.Close()
 	cycle := func() {
 		q.Push(pw)
 		q.PushLinked(pr)
 		if got, err := q.SubmitAndWait(e.th); err != nil || exitio.FirstErr(got) != nil {
 			t.Fatalf("cycle: %v %v", err, exitio.FirstErr(got))
 		}
+		if err := ep.Recv(e.th, 64); err != nil {
+			t.Fatalf("endpoint recv: %v", err)
+		}
+		if err := ep.Send(e.th, 64); err != nil {
+			t.Fatalf("endpoint send: %v", err)
+		}
 	}
-	cycle() // warm the chain pool, staged slices and CQE double buffer
+	cycle() // warm the chain pool, staged slices and CQE double buffers
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
 		t.Fatalf("steady-state submit/reap allocates %v times per cycle, want 0", avg)
 	}

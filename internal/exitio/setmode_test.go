@@ -99,13 +99,19 @@ func TestSetModeSettlesPendingInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := netsim.NewSocket(plat, 1<<20)
-	defer sock.Close()
+	// One socket per in-flight chain: the pool's workers may run the
+	// three chains at once.
+	var socks [3]*netsim.Socket
+	for i := range socks {
+		socks[i] = netsim.NewSocket(plat, 1<<20)
+		defer socks[i].Close()
+	}
+	sock := socks[0]
 	q := eng.NewQueue()
 
-	for i := 0; i < 3; i++ {
-		sock.Deliver(make([]byte, 16))
-		q.PushTagged(Recv{Sock: sock, N: 16}, uint64(100+i))
+	for i, sk := range socks {
+		sk.Deliver(make([]byte, 16))
+		q.PushTagged(Recv{Sock: sk, N: 16}, uint64(100+i))
 		if err := q.Submit(th); err != nil {
 			t.Fatal(err)
 		}

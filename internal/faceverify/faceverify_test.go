@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"eleos/internal/exitio"
 	"eleos/internal/rpc"
 	"eleos/internal/sgx"
 	"eleos/internal/suvm"
@@ -93,10 +94,11 @@ func TestEndToEndVerifyServer(t *testing.T) {
 	pool := rpc.NewPool(plat, 1, 64)
 	pool.Start()
 	defer pool.Stop()
-	srv, err := NewServer(store, SysRPC, pool)
+	eng, err := exitio.NewEngine(exitio.ModeRPCSync, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := NewServerIO(store, eng)
 	defer srv.Close()
 
 	ok, err := srv.Verify(th, 3, 1)

@@ -7,7 +7,6 @@ import (
 	"eleos/internal/exitio"
 	"eleos/internal/kv"
 	"eleos/internal/netsim"
-	"eleos/internal/rpc"
 	"eleos/internal/sgx"
 	"eleos/internal/suvm"
 )
@@ -32,18 +31,6 @@ func (p Placement) String() string {
 		return "suvm"
 	}
 }
-
-// SyscallMode selects the network path — a thin alias over the exitio
-// dispatch modes (the per-server switch moved into internal/exitio).
-type SyscallMode = exitio.Mode
-
-// Syscall mechanisms.
-const (
-	SysNative   = exitio.ModeDirect
-	SysOCall    = exitio.ModeOCall
-	SysRPC      = exitio.ModeRPCSync
-	SysRPCAsync = exitio.ModeRPCAsync
-)
 
 // Compute cost model: the LBP transform and chi-square comparison are
 // charged per pixel and per descriptor byte respectively (the 8-compare
@@ -175,26 +162,12 @@ func (s *Store) queryDescriptor(id, variant uint64) []byte {
 	return d
 }
 
-// Server is one worker front end (socket + exit-less I/O queue) over
+// Server is one worker front end (an exit-less socket endpoint) over
 // the store.
 type Server struct {
 	store *Store
-	io    *exitio.Queue
-	sock  *netsim.Socket
+	ep    *exitio.Endpoint
 	desc  []byte
-}
-
-// NewServer wraps the store for one serving thread. pool is required
-// for the RPC modes.
-func NewServer(store *Store, sys SyscallMode, pool *rpc.Pool) (*Server, error) {
-	if sys.NeedsPool() && pool == nil {
-		return nil, fmt.Errorf("faceverify: RPC mode requires a worker pool")
-	}
-	eng, err := exitio.NewEngine(sys, pool)
-	if err != nil {
-		return nil, fmt.Errorf("faceverify: %w", err)
-	}
-	return NewServerIO(store, eng), nil
 }
 
 // NewServerIO wraps the store over an existing engine, so servers on
@@ -210,14 +183,13 @@ func NewServerIO(store *Store, eng *exitio.Engine) *Server {
 func NewServerIOGroup(store *Store, eng *exitio.Engine, grp *exitio.Group) *Server {
 	return &Server{
 		store: store,
-		io:    eng.NewGroupQueue(grp),
-		sock:  netsim.NewSocket(store.plat, ImageBytes+4096),
+		ep:    exitio.NewEndpoint(eng.NewGroupQueue(grp), netsim.NewSocket(store.plat, ImageBytes+4096)),
 		desc:  make([]byte, DescriptorBytes),
 	}
 }
 
 // Close releases the socket.
-func (s *Server) Close() { s.sock.Close() }
+func (s *Server) Close() { s.ep.Close() }
 
 // Verify processes one request end to end: receive the (encrypted)
 // image, decrypt it, compute its LBP descriptor, fetch the enrolled
@@ -229,17 +201,12 @@ func (s *Server) Verify(th *sgx.Thread, id, variant uint64) (bool, error) {
 	// Receive the request (claimed ID + image). In async mode the
 	// previous verdict's deferred send is still staged and the receive
 	// links onto it — one doorbell for both.
-	if s.io.Staged() > 0 {
-		s.io.PushLinked(exitio.Recv{Sock: s.sock, N: RequestBytes})
-	} else {
-		s.io.Push(exitio.Recv{Sock: s.sock, N: RequestBytes})
-	}
-	if _, err := s.io.SubmitAndWait(th); err != nil {
+	if err := s.ep.Recv(th, RequestBytes); err != nil {
 		return false, err
 	}
 	// Pull the image out of the untrusted staging buffer (the enclave
 	// reads it while decrypting) and charge the decryption.
-	th.Read(s.sock.UserBuf(), s.desc[:min(len(s.desc), ImageBytes)])
+	th.Read(s.ep.Socket().UserBuf(), s.desc[:min(len(s.desc), ImageBytes)])
 	netsim.CryptoCost(th.T, m, RequestBytes)
 
 	// LBP transform of the query image.
@@ -260,28 +227,15 @@ func (s *Server) Verify(th *sgx.Thread, id, variant uint64) (bool, error) {
 	// Respond (deferred in async mode: the send rides the next
 	// request's doorbell; Flush pushes out the last one).
 	netsim.CryptoCost(th.T, m, responseBytes)
-	s.io.Push(exitio.Send{Sock: s.sock, N: responseBytes})
-	if s.io.Mode() != exitio.ModeRPCAsync {
-		if _, err := s.io.SubmitAndWait(th); err != nil {
-			return false, err
-		}
+	if err := s.ep.Send(th, responseBytes); err != nil {
+		return false, err
 	}
 	return accepted, nil
 }
 
 // Flush completes any deferred response send (async mode); a no-op in
 // the synchronous modes.
-func (s *Server) Flush(th *sgx.Thread) error {
-	_, err := s.io.SubmitAndWait(th)
-	return err
-}
+func (s *Server) Flush(th *sgx.Thread) error { return s.ep.Flush(th) }
 
 // IO returns the server's submission queue (stats, tests).
-func (s *Server) IO() *exitio.Queue { return s.io }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (s *Server) IO() *exitio.Queue { return s.ep.Queue() }

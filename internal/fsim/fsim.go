@@ -54,7 +54,8 @@ type FS struct {
 	byName map[string]*file
 	fds    map[int]*fd
 	nextFD int
-	// kernBuf models the kernel page cache's rotating footprint.
+	// kernBuf models the kernel page cache's rotating footprint; rot
+	// (guarded by mu) is the next window's offset into it.
 	kernBuf uint64
 	rot     uint64
 
@@ -90,9 +91,11 @@ func (s *FS) Syscalls() uint64 {
 	return s.syscalls
 }
 
-// touchKernel charges the rotating kernel page-cache traffic of one
-// call moving n payload bytes.
-func (s *FS) touchKernel(h *sgx.HostCtx, n int, write bool) {
+// kernSlot claims the rotating kernel page-cache window one call moving
+// n payload bytes touches, returning its address and length. The caller
+// holds s.mu, so calls served concurrently by several RPC workers each
+// claim their own window.
+func (s *FS) kernSlot(n int) (uint64, int) {
 	span := n + pageCacheBytes
 	if span > 4<<20 {
 		span = 4 << 20
@@ -100,8 +103,9 @@ func (s *FS) touchKernel(h *sgx.HostCtx, n int, write bool) {
 	if s.rot+uint64(span) > 4<<20 {
 		s.rot = 0
 	}
-	h.Touch(s.kernBuf+s.rot, span, write)
+	addr := s.kernBuf + s.rot
 	s.rot += uint64((span + 511) &^ 511)
+	return addr, span
 }
 
 // Open opens (creating if needed) a file and returns a descriptor.
@@ -174,9 +178,10 @@ func (s *FS) PWrite(h *sgx.HostCtx, fdnum int, off uint64, data []byte) (int, er
 			f.size = end
 		}
 		base := f.base
+		kaddr, kspan := s.kernSlot(len(data))
 		s.mu.Unlock()
 
-		s.touchKernel(c, len(data), true)
+		c.Touch(kaddr, kspan, true)
 		c.Write(base+off, data)
 	})
 	if err != nil {
@@ -209,9 +214,10 @@ func (s *FS) PRead(h *sgx.HostCtx, fdnum int, off uint64, buf []byte) (int, erro
 			n = int(f.size - off)
 		}
 		base := f.base
+		kaddr, kspan := s.kernSlot(n)
 		s.mu.Unlock()
 
-		s.touchKernel(c, n, false)
+		c.Touch(kaddr, kspan, false)
 		c.Read(base+off, buf[:n])
 	})
 	return n, err

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"eleos/internal/exitio"
 	"eleos/internal/rpc"
 	"eleos/internal/sgx"
 	"eleos/internal/suvm"
@@ -161,11 +162,12 @@ func TestServerModesExitBehaviour(t *testing.T) {
 
 	key := []byte("the-key")
 	val := make([]byte, 1024)
-	for mode, wantExits := range map[SyscallMode]bool{SysOCall: true, SysRPC: false} {
-		srv, err := NewServer(s, mode, pool)
+	for mode, wantExits := range map[exitio.Mode]bool{exitio.ModeOCall: true, exitio.ModeRPCSync: false} {
+		eng, err := exitio.NewEngine(mode, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv := NewServerIO(s, eng)
 		if err := srv.ServeSet(e.th, key, val); err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +191,13 @@ func TestServerModesExitBehaviour(t *testing.T) {
 func TestTextProtocolOverTCP(t *testing.T) {
 	e := newEnv(t)
 	s := e.store(t, PlaceSUVM, 16<<20)
+	pool := rpc.NewPool(e.plat, 1, 64)
+	pool.Start()
+	defer pool.Stop()
+	eng, err := exitio.NewEngine(exitio.ModeRPCAsync, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -205,7 +214,7 @@ func TestTextProtocolOverTCP(t *testing.T) {
 		}
 		th := e.encl.NewThread()
 		th.Enter()
-		_ = ServeConn(conn, s, th)
+		_ = ServeConnIO(conn, s, th, eng)
 	}()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())

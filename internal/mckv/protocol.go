@@ -17,41 +17,19 @@ import (
 // ServeConnIO's syscall accounting.
 const connBufBytes = 64 << 10
 
-// ServeConn speaks the memcached text protocol (the subset the paper's
+// ServeConnIO speaks the memcached text protocol (the subset the paper's
 // workloads use: get, set, delete, stats, version, quit) on conn,
-// executing operations on store via the given simulated thread. It
-// returns when the client quits or the connection drops. One goroutine
-// with its own thread per connection, as memcached does.
-func ServeConn(conn net.Conn, store *Store, th *sgx.Thread) error {
-	return serveConn(conn, store, th, nil, nil)
-}
-
-// ServeConnIO is ServeConn with simulated syscall accounting: every
-// real TCP read and write is mirrored as a netsim Recv/Send op
-// submitted through a per-connection queue on eng, so a daemon's
-// virtual cycle counters reflect the same exit-less (or OCALL/native)
-// I/O costs the closed-loop benchmarks measure.
+// executing operations on store via the given simulated thread. Every
+// real TCP read and write is mirrored as a netsim recv/send on an
+// exit-less endpoint over eng, so a daemon's virtual cycle counters
+// reflect the same exit-less (or OCALL/native) I/O costs the
+// closed-loop benchmarks measure. It returns when the client quits or
+// the connection drops. One goroutine with its own thread per
+// connection, as memcached does.
 func ServeConnIO(conn net.Conn, store *Store, th *sgx.Thread, eng *exitio.Engine) error {
-	sock := netsim.NewSocket(store.plat, connBufBytes)
-	defer sock.Close()
-	return serveConn(conn, store, th, eng.NewQueue(), sock)
-}
-
-func serveConn(conn net.Conn, store *Store, th *sgx.Thread, q *exitio.Queue, sock *netsim.Socket) error {
 	defer conn.Close()
-	// account mirrors one real transfer as a simulated syscall (no-op
-	// without an accounting queue).
-	account := func(op exitio.Op) error {
-		if q == nil {
-			return nil
-		}
-		q.Push(op)
-		cqes, err := q.SubmitAndWait(th)
-		if err != nil {
-			return fmt.Errorf("mckv: syscall accounting: %w", err)
-		}
-		return exitio.FirstErr(cqes)
-	}
+	ep := exitio.NewEndpoint(eng.NewQueue(), netsim.NewSocket(store.plat, connBufBytes))
+	defer ep.Close()
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriter(conn)
 	valBuf := make([]byte, maxItemSize)
@@ -63,8 +41,8 @@ func serveConn(conn net.Conn, store *Store, th *sgx.Thread, q *exitio.Queue, soc
 			}
 			return fmt.Errorf("mckv: reading command: %w", err)
 		}
-		if err := account(exitio.Recv{Sock: sock, N: capTransfer(len(line))}); err != nil {
-			return err
+		if err := ep.Recv(th, capTransfer(len(line))); err != nil {
+			return fmt.Errorf("mckv: syscall accounting: %w", err)
 		}
 		fields := strings.Fields(line)
 		if len(fields) == 0 {
@@ -106,8 +84,8 @@ func serveConn(conn net.Conn, store *Store, th *sgx.Thread, q *exitio.Queue, soc
 			if _, err := io.ReadFull(r, data); err != nil {
 				return fmt.Errorf("mckv: reading data block: %w", err)
 			}
-			if err := account(exitio.Recv{Sock: sock, N: capTransfer(len(data))}); err != nil {
-				return err
+			if err := ep.Recv(th, capTransfer(len(data))); err != nil {
+				return fmt.Errorf("mckv: syscall accounting: %w", err)
 			}
 			if err := store.Set(th, []byte(fields[1]), data[:n]); err != nil {
 				fmt.Fprintf(w, "SERVER_ERROR %v\r\n", err)
@@ -131,20 +109,18 @@ func serveConn(conn net.Conn, store *Store, th *sgx.Thread, q *exitio.Queue, soc
 			fmt.Fprintf(w, "STAT bytes %d\r\n", store.BytesUsed())
 			fmt.Fprintf(w, "STAT evictions %d\r\n", store.Evictions())
 			fmt.Fprintf(w, "STAT virtual_cycles %d\r\n", th.T.Cycles())
-			if q != nil {
-				st := q.Engine().Stats()
-				fmt.Fprintf(w, "STAT io_mode %s\r\n", q.Mode())
-				fmt.Fprintf(w, "STAT io_doorbells %d\r\n", st.Doorbells)
-				fmt.Fprintf(w, "STAT io_linked %d\r\n", st.Linked)
-			}
+			st := eng.Stats()
+			fmt.Fprintf(w, "STAT io_mode %s\r\n", ep.Queue().Mode())
+			fmt.Fprintf(w, "STAT io_doorbells %d\r\n", st.Doorbells)
+			fmt.Fprintf(w, "STAT io_linked %d\r\n", st.Linked)
 			fmt.Fprintf(w, "END\r\n")
 
 		default:
 			fmt.Fprintf(w, "ERROR\r\n")
 		}
 		if n := w.Buffered(); n > 0 {
-			if err := account(exitio.Send{Sock: sock, N: capTransfer(n)}); err != nil {
-				return err
+			if err := ep.Send(th, capTransfer(n)); err != nil {
+				return fmt.Errorf("mckv: syscall accounting: %w", err)
 			}
 		}
 		if err := w.Flush(); err != nil {

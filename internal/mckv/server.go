@@ -5,48 +5,17 @@ import (
 
 	"eleos/internal/exitio"
 	"eleos/internal/netsim"
-	"eleos/internal/rpc"
 	"eleos/internal/sgx"
 )
 
-// SyscallMode selects the store's path to the OS for network I/O. It is
-// a thin alias over the exitio dispatch modes: the per-server switch
-// this package used to carry lives in internal/exitio now.
-type SyscallMode = exitio.Mode
-
-// Syscall mechanisms: the Graphene baseline exits per syscall; Eleos
-// integrates its RPC into Graphene (§5.1). SysRPCAsync is the engine's
-// headline configuration: responses are deferred and linked with the
-// next request's receive into one doorbell.
-const (
-	SysNative   = exitio.ModeDirect
-	SysOCall    = exitio.ModeOCall
-	SysRPC      = exitio.ModeRPCSync
-	SysRPCAsync = exitio.ModeRPCAsync
-)
-
-// Server is one worker front end over a shared Store: a socket plus an
-// exit-less I/O queue in the configured dispatch mode, and the request
+// Server is one worker front end over a shared Store: an exit-less
+// socket endpoint on the engine it was built with, and the request
 // crypto. Create one per serving thread.
 type Server struct {
 	store *Store
 	plat  *sgx.Platform
-	io    *exitio.Queue
-	sock  *netsim.Socket
+	ep    *exitio.Endpoint
 	buf   []byte
-}
-
-// NewServer wraps store with a network front end. pool is required for
-// the RPC modes.
-func NewServer(store *Store, sys SyscallMode, pool *rpc.Pool) (*Server, error) {
-	if sys.NeedsPool() && pool == nil {
-		return nil, fmt.Errorf("mckv: RPC mode requires a worker pool")
-	}
-	eng, err := exitio.NewEngine(sys, pool)
-	if err != nil {
-		return nil, fmt.Errorf("mckv: %w", err)
-	}
-	return NewServerIO(store, eng), nil
 }
 
 // NewServerIO wraps store over an existing engine, so several servers
@@ -63,21 +32,20 @@ func NewServerIOGroup(store *Store, eng *exitio.Engine, grp *exitio.Group) *Serv
 	return &Server{
 		store: store,
 		plat:  store.plat,
-		io:    eng.NewGroupQueue(grp),
-		sock:  netsim.NewSocket(store.plat, 1<<20),
+		ep:    exitio.NewEndpoint(eng.NewGroupQueue(grp), netsim.NewSocket(store.plat, 1<<20)),
 		buf:   make([]byte, 1<<20),
 	}
 }
 
 // Close releases the socket. Any response still deferred in async mode
 // is dropped with it; call Flush first when the send matters.
-func (s *Server) Close() { s.sock.Close() }
+func (s *Server) Close() { s.ep.Close() }
 
 // Store returns the shared store.
 func (s *Server) Store() *Store { return s.store }
 
 // IO returns the server's submission queue (stats, tests).
-func (s *Server) IO() *exitio.Queue { return s.io }
+func (s *Server) IO() *exitio.Queue { return s.ep.Queue() }
 
 // GetRequestBytes is the wire size of a GET for a key of klen bytes.
 func GetRequestBytes(klen int) int { return 8 + klen + 28 }
@@ -85,49 +53,22 @@ func GetRequestBytes(klen int) int { return 8 + klen + 28 }
 // SetRequestBytes is the wire size of a SET carrying klen+vlen payload.
 func SetRequestBytes(klen, vlen int) int { return 8 + klen + vlen + 28 }
 
-// netRecv receives the next request through the engine. In async mode
-// the previous request's deferred response send is still staged, so the
-// receive links onto it: SEND(i) + RECV(i+1) cross on one doorbell.
-func (s *Server) netRecv(th *sgx.Thread, n int) {
-	if s.io.Staged() > 0 {
-		s.io.PushLinked(exitio.Recv{Sock: s.sock, N: n})
-	} else {
-		s.io.Push(exitio.Recv{Sock: s.sock, N: n})
-	}
-	if _, err := s.io.SubmitAndWait(th); err != nil {
-		panic("mckv: RPC pool stopped mid-serve: " + err.Error())
-	}
-}
-
-// netSend sends a response. Synchronous modes complete it here; async
-// mode defers it so it can ride the next receive's doorbell (Flush
-// pushes out the last one).
-func (s *Server) netSend(th *sgx.Thread, n int) {
-	s.io.Push(exitio.Send{Sock: s.sock, N: n})
-	if s.io.Mode() == exitio.ModeRPCAsync {
-		return
-	}
-	if _, err := s.io.SubmitAndWait(th); err != nil {
-		panic("mckv: RPC pool stopped mid-serve: " + err.Error())
-	}
-}
-
 // Flush completes any deferred response send (async mode); a no-op in
 // the synchronous modes. Call it when the request stream pauses or
 // ends.
-func (s *Server) Flush(th *sgx.Thread) error {
-	_, err := s.io.SubmitAndWait(th)
-	return err
-}
+func (s *Server) Flush(th *sgx.Thread) error { return s.ep.Flush(th) }
 
 // ServeGet handles one GET request end to end: receive, decrypt, look
 // the key up, and send the encrypted value back. Returns the value
 // length.
 func (s *Server) ServeGet(th *sgx.Thread, key []byte) (int, error) {
 	reqN := GetRequestBytes(len(key))
-	s.sock.Deliver(key) // the client's (encrypted) request carries the key
-	s.netRecv(th, reqN)
-	th.Read(s.sock.UserBuf(), s.buf[:len(key)])
+	sock := s.ep.Socket()
+	sock.Deliver(key) // the client's (encrypted) request carries the key
+	if err := s.ep.Recv(th, reqN); err != nil {
+		return 0, fmt.Errorf("mckv: recv: %w", err)
+	}
+	th.Read(sock.UserBuf(), s.buf[:len(key)])
 	netsim.CryptoCost(th.T, s.plat.Model, reqN)
 
 	vlen, err := s.store.Get(th, key, s.buf)
@@ -137,17 +78,22 @@ func (s *Server) ServeGet(th *sgx.Thread, key []byte) (int, error) {
 
 	respN := vlen + 40 // VALUE header + envelope
 	netsim.CryptoCost(th.T, s.plat.Model, respN)
-	th.Write(s.sock.UserBuf(), s.buf[:vlen])
-	s.netSend(th, respN)
+	th.Write(sock.UserBuf(), s.buf[:vlen])
+	if err := s.ep.Send(th, respN); err != nil {
+		return 0, fmt.Errorf("mckv: send: %w", err)
+	}
 	return vlen, nil
 }
 
 // ServeSet handles one SET request end to end.
 func (s *Server) ServeSet(th *sgx.Thread, key, val []byte) error {
 	reqN := SetRequestBytes(len(key), len(val))
-	s.sock.Deliver(val)
-	s.netRecv(th, reqN)
-	th.Read(s.sock.UserBuf(), s.buf[:min(len(val), len(s.buf))])
+	sock := s.ep.Socket()
+	sock.Deliver(val)
+	if err := s.ep.Recv(th, reqN); err != nil {
+		return fmt.Errorf("mckv: recv: %w", err)
+	}
+	th.Read(sock.UserBuf(), s.buf[:min(len(val), len(s.buf))])
 	netsim.CryptoCost(th.T, s.plat.Model, reqN)
 
 	if err := s.store.Set(th, key, val); err != nil {
@@ -155,13 +101,8 @@ func (s *Server) ServeSet(th *sgx.Thread, key, val []byte) error {
 	}
 
 	netsim.CryptoCost(th.T, s.plat.Model, 8+28) // STORED
-	s.netSend(th, 8+28)
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+	if err := s.ep.Send(th, 8+28); err != nil {
+		return fmt.Errorf("mckv: send: %w", err)
 	}
-	return b
+	return nil
 }

@@ -21,7 +21,6 @@ import (
 	"eleos/internal/exitio"
 	"eleos/internal/kv"
 	"eleos/internal/netsim"
-	"eleos/internal/rpc"
 	"eleos/internal/sgx"
 	"eleos/internal/suvm"
 )
@@ -47,19 +46,6 @@ func (p Placement) String() string {
 	}
 }
 
-// SyscallMode selects how the server reaches the OS — a thin alias
-// over the exitio dispatch modes (the per-server switch moved into
-// internal/exitio).
-type SyscallMode = exitio.Mode
-
-// Syscall mechanisms.
-const (
-	SysNative   = exitio.ModeDirect   // direct syscalls (untrusted server)
-	SysOCall    = exitio.ModeOCall    // SDK OCALL: exit per call
-	SysRPC      = exitio.ModeRPCSync  // Eleos exit-less RPC, one sync call per op
-	SysRPCAsync = exitio.ModeRPCAsync // async chains: SEND(i)+RECV(i+1), one doorbell
-)
-
 // Config describes one parameter-server instance.
 type Config struct {
 	// DataBytes is the key+value payload (entries = DataBytes/16).
@@ -68,17 +54,14 @@ type Config struct {
 	Layout kv.Layout
 	// Placement locates the table.
 	Placement Placement
-	// Syscall selects the recv/send mechanism.
-	Syscall SyscallMode
 	// Heap is required for PlaceSUVM: a whole *suvm.Heap, or one
 	// service's *suvm.Domain when the server is a co-resident tenant of
 	// a multi-service enclave.
 	Heap suvm.Allocator
-	// Pool is required for the RPC modes (unless Engine is set).
-	Pool *rpc.Pool
-	// Engine, when non-nil, is a shared exit-less I/O engine whose
-	// dispatch mode overrides Syscall/Pool — the way several servers
-	// share one engine and its doorbell counters.
+	// Engine is the exit-less I/O engine the server's socket submits
+	// through (required): its dispatch mode selects the recv/send
+	// mechanism, and several servers may share one engine and its
+	// doorbell counters.
 	Engine *exitio.Engine
 	// Group, when non-nil, attributes the server's queue activity to a
 	// per-service counter group on the shared Engine.
@@ -89,16 +72,15 @@ type Config struct {
 	Encrypted bool
 }
 
-// Server is one parameter server worker: a table plus a socket and an
-// exit-less I/O queue. For multi-threaded experiments create one Server
+// Server is one parameter server worker: a table plus an exit-less
+// socket endpoint. For multi-threaded experiments create one Server
 // per thread over a shared table (the paper shards requests by
 // connection).
 type Server struct {
 	cfg     Config
 	plat    *sgx.Platform
 	table   *kv.FixedTable
-	sock    *netsim.Socket
-	io      *exitio.Queue
+	ep      *exitio.Endpoint
 	entries uint64
 	reqBuf  []byte
 }
@@ -128,17 +110,8 @@ func New(plat *sgx.Platform, setup *sgx.Thread, cfg Config) (*Server, error) {
 	if cfg.Placement == PlaceSUVM && cfg.Heap == nil {
 		return nil, fmt.Errorf("pserver: SUVM placement requires a heap")
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		if cfg.Syscall.NeedsPool() && cfg.Pool == nil {
-			return nil, fmt.Errorf("pserver: RPC mode requires a worker pool")
-		}
-		var err error
-		if eng, err = exitio.NewEngine(cfg.Syscall, cfg.Pool); err != nil {
-			return nil, fmt.Errorf("pserver: %w", err)
-		}
-	} else {
-		cfg.Syscall = eng.Mode()
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("pserver: an exit-less I/O engine is required")
 	}
 	buckets := uint64(1)
 	for buckets < 2*entries {
@@ -170,8 +143,7 @@ func New(plat *sgx.Platform, setup *sgx.Thread, cfg Config) (*Server, error) {
 		cfg:     cfg,
 		plat:    plat,
 		table:   table,
-		sock:    netsim.NewSocket(plat, 64<<10),
-		io:      eng.NewGroupQueue(cfg.Group),
+		ep:      exitio.NewEndpoint(cfg.Engine.NewGroupQueue(cfg.Group), netsim.NewSocket(plat, 64<<10)),
 		entries: entries,
 		reqBuf:  make([]byte, 64<<10),
 	}
@@ -206,7 +178,7 @@ func (s *Server) load(setup *sgx.Thread, mem kv.Mem, buckets uint64) error {
 }
 
 // Close releases the server's socket buffers.
-func (s *Server) Close() { s.sock.Close() }
+func (s *Server) Close() { s.ep.Close() }
 
 // ServeRequest processes one client request updating the given keys:
 // receive (via the configured mechanism), decrypt, apply the updates,
@@ -223,22 +195,18 @@ func (s *Server) ServeRequest(th *sgx.Thread, keys []uint64) error {
 		putLeU64(payload[4+16*i:], k)
 		putLeU64(payload[12+16*i:], 1) // delta
 	}
-	s.sock.Deliver(payload)
+	sock := s.ep.Socket()
+	sock.Deliver(payload)
 
 	// recv() — in async mode the previous request's deferred response
 	// send is still staged, and the receive links onto it: one doorbell
 	// carries SEND(i) and RECV(i+1).
-	if s.io.Staged() > 0 {
-		s.io.PushLinked(exitio.Recv{Sock: s.sock, N: n})
-	} else {
-		s.io.Push(exitio.Recv{Sock: s.sock, N: n})
-	}
-	if _, err := s.io.SubmitAndWait(th); err != nil {
+	if err := s.ep.Recv(th, n); err != nil {
 		return fmt.Errorf("pserver: recv: %w", err)
 	}
 
 	// Pull the payload out of the untrusted staging buffer and decrypt.
-	th.Read(s.sock.UserBuf(), payload)
+	th.Read(sock.UserBuf(), payload)
 	if s.cfg.Encrypted {
 		netsim.CryptoCost(th.T, m, n)
 	}
@@ -258,14 +226,10 @@ func (s *Server) ServeRequest(th *sgx.Thread, keys []uint64) error {
 		netsim.CryptoCost(th.T, m, ResponseBytes)
 	}
 	var ack [16]byte
-	th.Write(s.sock.UserBuf(), ack[:])
-	s.io.Push(exitio.Send{Sock: s.sock, N: ResponseBytes})
-	if s.cfg.Syscall == SysRPCAsync {
-		// Deferred: the send rides the next request's doorbell (Flush
-		// pushes out the last one).
-		return nil
-	}
-	if _, err := s.io.SubmitAndWait(th); err != nil {
+	th.Write(sock.UserBuf(), ack[:])
+	// Deferred in async mode: the send rides the next request's doorbell
+	// (Flush pushes out the last one).
+	if err := s.ep.Send(th, ResponseBytes); err != nil {
 		return fmt.Errorf("pserver: send: %w", err)
 	}
 	return nil
@@ -274,14 +238,14 @@ func (s *Server) ServeRequest(th *sgx.Thread, keys []uint64) error {
 // Flush completes any deferred response send (async mode); a no-op in
 // the synchronous modes.
 func (s *Server) Flush(th *sgx.Thread) error {
-	if _, err := s.io.SubmitAndWait(th); err != nil {
+	if err := s.ep.Flush(th); err != nil {
 		return fmt.Errorf("pserver: flush: %w", err)
 	}
 	return nil
 }
 
 // IO returns the server's submission queue (stats, tests).
-func (s *Server) IO() *exitio.Queue { return s.io }
+func (s *Server) IO() *exitio.Queue { return s.ep.Queue() }
 
 func leU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24

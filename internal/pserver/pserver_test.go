@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"eleos/internal/cache"
+	"eleos/internal/exitio"
 	"eleos/internal/kv"
 	"eleos/internal/loadgen"
 	"eleos/internal/rpc"
@@ -20,17 +21,40 @@ func newPlat(t testing.TB) *sgx.Platform {
 	return p
 }
 
+// newEngine builds an exit-less I/O engine for the tests (pool may be
+// nil outside the RPC modes).
+func newEngine(t testing.TB, mode exitio.Mode, pool *rpc.Pool) *exitio.Engine {
+	t.Helper()
+	eng, err := exitio.NewEngine(mode, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+func TestNewRequiresEngine(t *testing.T) {
+	plat := newPlat(t)
+	_, err := New(plat, plat.NewHostThread(cache.CoSDefault), Config{
+		DataBytes: 1 << 20,
+		Layout:    kv.OpenAddressing,
+		Placement: PlaceHost,
+	})
+	if err == nil {
+		t.Fatal("New without an engine succeeded")
+	}
+}
+
 func TestServeUpdatesTableAllModes(t *testing.T) {
 	type tc struct {
 		name      string
 		placement Placement
-		sys       SyscallMode
+		mode      exitio.Mode
 	}
 	cases := []tc{
-		{"host-native", PlaceHost, SysNative},
-		{"epc-ocall", PlaceEnclave, SysOCall},
-		{"epc-rpc", PlaceEnclave, SysRPC},
-		{"suvm-rpc", PlaceSUVM, SysRPC},
+		{"host-native", PlaceHost, exitio.ModeDirect},
+		{"epc-ocall", PlaceEnclave, exitio.ModeOCall},
+		{"epc-rpc", PlaceEnclave, exitio.ModeRPCSync},
+		{"suvm-rpc", PlaceSUVM, exitio.ModeRPCSync},
 	}
 	for _, c := range cases {
 		c := c
@@ -55,7 +79,7 @@ func TestServeUpdatesTableAllModes(t *testing.T) {
 				}
 			}
 			var pool *rpc.Pool
-			if c.sys == SysRPC {
+			if c.mode.NeedsPool() {
 				pool = rpc.NewPool(plat, 1, 64)
 				pool.Start()
 				defer pool.Stop()
@@ -64,9 +88,8 @@ func TestServeUpdatesTableAllModes(t *testing.T) {
 				DataBytes: 1 << 20,
 				Layout:    kv.OpenAddressing,
 				Placement: c.placement,
-				Syscall:   c.sys,
 				Heap:      heap,
-				Pool:      pool,
+				Engine:    newEngine(t, c.mode, pool),
 				Encrypted: true,
 			})
 			if err != nil {
@@ -100,13 +123,12 @@ func TestOCallVsRPCExitCounts(t *testing.T) {
 	pool.Start()
 	defer pool.Stop()
 
-	for _, mode := range []SyscallMode{SysOCall, SysRPC} {
+	for _, mode := range []exitio.Mode{exitio.ModeOCall, exitio.ModeRPCSync} {
 		srv, err := New(plat, th, Config{
 			DataBytes: 64 << 10,
 			Layout:    kv.OpenAddressing,
 			Placement: PlaceEnclave,
-			Syscall:   mode,
-			Pool:      pool,
+			Engine:    newEngine(t, mode, pool),
 			Encrypted: true,
 		})
 		if err != nil {
@@ -123,11 +145,11 @@ func TestOCallVsRPCExitCounts(t *testing.T) {
 		}
 		exits1, ocalls1, _, _, _ := encl.Stats().Snapshot()
 		switch mode {
-		case SysOCall:
+		case exitio.ModeOCall:
 			if got := ocalls1 - ocalls0; got != 2*reqs {
 				t.Fatalf("OCALL mode: %d ocalls for %d requests, want %d", got, reqs, 2*reqs)
 			}
-		case SysRPC:
+		case exitio.ModeRPCSync:
 			if got := exits1 - exits0; got != 0 {
 				t.Fatalf("RPC mode caused %d exits", got)
 			}
@@ -141,7 +163,7 @@ func TestUntrustedFasterThanEnclave(t *testing.T) {
 	// substantially slower inside the enclave with OCALLs than outside.
 	plat := newPlat(t)
 
-	run := func(placement Placement, sys SyscallMode) float64 {
+	run := func(placement Placement, mode exitio.Mode) float64 {
 		var th *sgx.Thread
 		if placement == PlaceHost {
 			th = plat.NewHostThread(cache.CoSDefault)
@@ -154,7 +176,7 @@ func TestUntrustedFasterThanEnclave(t *testing.T) {
 			DataBytes: 2 << 20,
 			Layout:    kv.OpenAddressing,
 			Placement: placement,
-			Syscall:   sys,
+			Engine:    newEngine(t, mode, nil),
 			Encrypted: true,
 		})
 		if err != nil {
@@ -173,8 +195,8 @@ func TestUntrustedFasterThanEnclave(t *testing.T) {
 		return float64(th.T.Cycles()) / reqs
 	}
 
-	host := run(PlaceHost, SysNative)
-	encl := run(PlaceEnclave, SysOCall)
+	host := run(PlaceHost, exitio.ModeDirect)
+	encl := run(PlaceEnclave, exitio.ModeOCall)
 	slow := encl / host
 	if slow < 3 {
 		t.Fatalf("enclave/untrusted slowdown %.1fx, expected substantial (paper: ~9x)", slow)

@@ -28,7 +28,7 @@ type request struct {
 	workCycles  uint64
 	done        atomic.Uint32
 	// notify, when set, runs on the worker thread right after done is
-	// published (CallAsyncNotify). The worker captures it before the
+	// published (CallAsyncNotifyInto). The worker captures it before the
 	// done store: once done is visible the submitter may Wait and
 	// recycle the request under the callback's feet.
 	notify func()
@@ -574,32 +574,26 @@ func (p *Pool) Call(caller *sgx.Thread, fn func(*sgx.HostCtx)) error {
 //
 //eleos:hotpath budget=1
 func (p *Pool) CallAsync(caller *sgx.Thread, fn func(*sgx.HostCtx)) (*Future, error) {
-	return p.CallAsyncNotify(caller, fn, nil)
-}
-
-// CallAsyncNotify is CallAsync with a completion hook: notify (if
-// non-nil) runs on the worker thread immediately after the request's
-// completion flag is published, so a reaper can block on a channel
-// instead of spinning per future. notify executes on the untrusted
-// worker — it must be cheap, non-blocking (a counter bump, a
-// non-blocking channel send) and must not touch enclave state. It is a
-// host-side signal only: accounting still settles at Future.Wait.
-//
-//eleos:hotpath budget=1
-func (p *Pool) CallAsyncNotify(caller *sgx.Thread, fn func(*sgx.HostCtx), notify func()) (*Future, error) {
 	fut := &Future{}
-	if err := p.CallAsyncNotifyInto(fut, caller, fn, notify); err != nil {
+	if err := p.CallAsyncNotifyInto(fut, caller, fn, nil); err != nil {
 		return nil, err
 	}
 	return fut, nil
 }
 
-// CallAsyncNotifyInto is CallAsyncNotify publishing into a
-// caller-provided Future instead of allocating one, so completion
-// handles can live inside pooled or recycled structures (exitio embeds
-// one per pooled chain). *fut is overwritten unconditionally; it must
-// not be an un-waited live future. The usual Future contract applies:
-// it belongs to caller, and Wait must come from that same thread.
+// CallAsyncNotifyInto is CallAsync publishing into a caller-provided
+// Future instead of allocating one, so completion handles can live
+// inside pooled or recycled structures (exitio embeds one per pooled
+// chain), with a completion hook: notify (if non-nil) runs on the
+// worker thread immediately after the request's completion flag is
+// published, so a reaper can block on a channel instead of spinning per
+// future. notify executes on the untrusted worker — it must be cheap,
+// non-blocking (a counter bump, a non-blocking channel send) and must
+// not touch enclave state. It is a host-side signal only: accounting
+// still settles at Future.Wait. *fut is overwritten unconditionally; it
+// must not be an un-waited live future. The usual Future contract
+// applies: it belongs to caller, and Wait must come from that same
+// thread.
 //
 //eleos:hotpath budget=0
 func (p *Pool) CallAsyncNotifyInto(fut *Future, caller *sgx.Thread, fn func(*sgx.HostCtx), notify func()) error {

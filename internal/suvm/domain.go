@@ -331,21 +331,10 @@ func (h *Heap) unitCeil(u *resizeUnit) uint64 {
 // frames, drop them from the unit's pool and return the fully vacated
 // EPC pages to the driver. Called with the exclusive epoch held.
 func (h *Heap) shrinkUnitLocked(th *sgx.Thread, u *resizeUnit, newActive int) error {
-	for f := u.base + u.active - 1; f >= u.base+newActive; f-- {
-		fm := &h.frames[f]
-		if fm.disabled {
-			continue
-		}
-		if fm.bsPage.Load() != noBSPage {
-			ok, _ := h.evictFrame(th, int32(f))
-			if !ok {
-				return fmt.Errorf("suvm: cannot shrink %s EPC++ to %d frames: frame %d is pinned by a linked spointer",
-					domName(u.d), newActive, f)
-			}
-		}
-		fm.disabled = true
+	if f, ok := h.vacateLocked(th, u.pool, u.base+newActive, u.base+u.active); !ok {
+		return fmt.Errorf("suvm: cannot shrink %s EPC++ to %d frames: frame %d is pinned by a linked spointer",
+			domName(u.d), newActive, f)
 	}
-	u.pool.filter(func(f int32) bool { return !h.frames[f].disabled })
 	lo := h.pinnedEdge(u, newActive)
 	hi := h.pinnedEdge(u, u.active)
 	if ceil := h.unitCeil(u); hi > ceil {

@@ -495,6 +495,62 @@ func TestResizeShrinkAndGrow(t *testing.T) {
 	}
 }
 
+// A shrink refused by a pinned frame must leave EPC++ as it found it:
+// the frames above the pinned one stay enabled and allocatable, and
+// when later faults fill them, the retried shrink evicts those pages
+// instead of releasing the EPC under them.
+func TestRefusedShrinkKeepsFramesConsistent(t *testing.T) {
+	e := newEnv(t, smallCfg()) // 16 frames, drained in order 0, 1, 2, ...
+	p, err := e.h.Malloc(16 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 4096) }
+	write := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := p.WriteAt(e.th, uint64(i)<<12, page(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Pages 0..5 fill frames 0..5; a linked spointer pins page 5.
+	write(0, 6)
+	pin := p.Clone()
+	if err := pin.Seek(e.th, 5<<12); err != nil {
+		t.Fatal(err)
+	}
+	if err := pin.Read(e.th, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.h.ResizeTo(e.th, 4<<12); err == nil {
+		t.Fatal("shrink past a pinned frame succeeded")
+	}
+	if got := e.h.ActiveFrames(); got != 16 {
+		t.Fatalf("refused shrink left ActiveFrames = %d, want 16", got)
+	}
+	pin.Unlink(e.th)
+	// Pages 6..9 fault into frames the refused shrink had reached.
+	write(6, 10)
+	if err := e.h.ResizeTo(e.th, 4<<12); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.h.ResizeTo(e.th, 16<<12); err != nil {
+		t.Fatal(err)
+	}
+	// Fresh pages reuse the re-enabled frames.
+	write(10, 16)
+	got := make([]byte, 4096)
+	for i := 0; i < 16; i++ {
+		if err := p.ReadAt(e.th, uint64(i)<<12, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, page(i)) {
+			t.Fatalf("page %d lost its data across a refused shrink (first byte %d, want %d)", i, got[0], i+1)
+		}
+	}
+}
+
 func TestBalloonTickTracksDriverShare(t *testing.T) {
 	e := newEnv(t, Config{PageCacheBytes: 16 << 20, BackingBytes: 64 << 20})
 	if err := e.h.BalloonTick(e.th); err != nil {

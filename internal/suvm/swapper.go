@@ -49,23 +49,11 @@ func (h *Heap) ResizeTo(th *sgx.Thread, targetBytes uint64) error {
 }
 
 func (h *Heap) shrinkLocked(th *sgx.Thread, target int) error {
-	// Vacate the top frames. Pinned (linked) frames cannot be vacated;
-	// fail fast so the caller (swapper tick or explicit resize) retries.
-	for f := len(h.frames) - 1; f >= target; f-- {
-		fm := &h.frames[f]
-		if fm.disabled {
-			continue
-		}
-		if fm.bsPage.Load() != noBSPage {
-			ok, _ := h.evictFrame(th, int32(f))
-			if !ok {
-				return fmt.Errorf("suvm: cannot shrink EPC++ below %d frames: frame %d is pinned by a linked spointer", f+1, f)
-			}
-		}
-		fm.disabled = true
+	// Pinned (linked) frames cannot be vacated; fail fast so the caller
+	// (swapper tick or explicit resize) retries.
+	if f, ok := h.vacateLocked(th, h.free, target, h.activeFrames); !ok {
+		return fmt.Errorf("suvm: cannot shrink EPC++ below %d frames: frame %d is pinned by a linked spointer", f+1, f)
 	}
-	// Drop the vacated frames from the free pools.
-	h.free.filter(func(f int32) bool { return !h.frames[f].disabled })
 	h.activeFrames = target
 	// Return the underlying EPC pages to the driver (whole 4 KiB pages
 	// only; with sub-4K SUVM pages the tail partial page is kept).
@@ -76,6 +64,35 @@ func (h *Heap) shrinkLocked(th *sgx.Thread, target int) error {
 		h.encl.FreePages(h.frameBase+start, end-start)
 	}
 	return nil
+}
+
+// vacateLocked empties frames [lo, hi), evicting their pages (write-back
+// if dirty, charged to th), disables them and drops them from pool. It
+// is all or nothing: at a frame pinned by a linked spointer it stops,
+// returns the frames it emptied to pool and reports the pinned frame,
+// leaving every frame in the range enabled and allocatable. A frame left
+// disabled but still pooled would be refilled by a fault and then
+// skipped by the next shrink, which would release its EPC under a
+// resident page. Called with the exclusive epoch held.
+func (h *Heap) vacateLocked(th *sgx.Thread, pool *framePool, lo, hi int) (int, bool) {
+	var emptied []int32
+	for f := hi - 1; f >= lo; f-- {
+		if h.frames[f].bsPage.Load() == noBSPage {
+			continue
+		}
+		if ok, _ := h.evictFrame(th, int32(f)); !ok {
+			for _, e := range emptied {
+				pool.put(e)
+			}
+			return f, false
+		}
+		emptied = append(emptied, int32(f))
+	}
+	for f := lo; f < hi; f++ {
+		h.frames[f].disabled = true
+	}
+	pool.filter(func(f int32) bool { return !h.frames[f].disabled })
+	return 0, true
 }
 
 func (h *Heap) growLocked(th *sgx.Thread, target int) error {
