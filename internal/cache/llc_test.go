@@ -1,6 +1,11 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eleos/internal/cycles"
@@ -148,5 +153,330 @@ func TestInvalidate(t *testing.T) {
 	c.Invalidate()
 	if c.Access(th, CoSDefault, phys.HostBase, false) {
 		t.Fatal("line survived Invalidate")
+	}
+}
+
+// refLLC is the straightforward per-line model the sharded LLC must
+// reproduce exactly: one []refLine per set, a valid-and-tag lookup, a
+// masked LRU victim scan, and a charge and counter update per line.
+type refLLC struct {
+	model    *cycles.Model
+	ways     int
+	sets     []refSet
+	masks    [numCoS]uint64
+	stats    Stats
+	epcLimit uint64
+}
+
+type refSet struct {
+	lines []refLine
+	seq   uint32
+}
+
+type refLine struct {
+	tag   uint64
+	valid bool
+	lru   uint32
+}
+
+func newRefLLC(m *cycles.Model, c *LLC, epcLimit uint64) *refLLC {
+	r := &refLLC{model: m, ways: c.Ways(), sets: make([]refSet, c.Sets()), epcLimit: epcLimit}
+	for i := range r.sets {
+		r.sets[i].lines = make([]refLine, r.ways)
+	}
+	r.disable()
+	return r
+}
+
+func (r *refLLC) enable(rpcWays int) {
+	rpcMask := (uint64(1) << uint(rpcWays)) - 1
+	r.masks[CoSRPC] = rpcMask
+	r.masks[CoSEnclave] = ((uint64(1) << uint(r.ways)) - 1) &^ rpcMask
+}
+
+func (r *refLLC) disable() {
+	for i := range r.masks {
+		r.masks[i] = (uint64(1) << uint(r.ways)) - 1
+	}
+}
+
+func (r *refLLC) invalidate() {
+	for i := range r.sets {
+		for j := range r.sets[i].lines {
+			r.sets[i].lines[j].valid = false
+		}
+	}
+}
+
+func (r *refLLC) probe(cos CoS, paddr uint64) bool {
+	lineAddr := paddr / LineSize
+	s := &r.sets[lineAddr%uint64(len(r.sets))]
+	s.seq++
+	for i := range s.lines {
+		if s.lines[i].valid && s.lines[i].tag == lineAddr {
+			s.lines[i].lru = s.seq
+			r.stats.Hits++
+			return true
+		}
+	}
+	mask := r.masks[cos]
+	victim, victimSeq, evicted := -1, ^uint32(0), false
+	for i := range s.lines {
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		if !s.lines[i].valid {
+			victim, evicted = i, false
+			break
+		}
+		if s.lines[i].lru <= victimSeq {
+			victim, victimSeq, evicted = i, s.lines[i].lru, true
+		}
+	}
+	if victim >= 0 {
+		s.lines[victim] = refLine{tag: lineAddr, valid: true, lru: s.seq}
+	}
+	r.stats.Misses++
+	if paddr < r.epcLimit {
+		r.stats.EPCMisses++
+	}
+	if evicted {
+		r.stats.Evictions++
+	}
+	return false
+}
+
+func (r *refLLC) access(t *cycles.Thread, cos CoS, paddr uint64, write bool) bool {
+	if r.probe(cos, paddr) {
+		t.Charge(r.model.LLCHit)
+		return true
+	}
+	t.Charge(r.model.EPCMissCycles(write, paddr < r.epcLimit))
+	return false
+}
+
+func (r *refLLC) accessRange(t *cycles.Thread, cos CoS, paddr uint64, n int, write bool) {
+	first := paddr / LineSize
+	last := (paddr + uint64(n) - 1) / LineSize
+	mlp := r.model.StreamMLP
+	if mlp == 0 {
+		mlp = 1
+	}
+	if lines := last - first + 1; lines < mlp {
+		mlp = lines
+	}
+	for la := first; la <= last; la++ {
+		t.Charge(r.model.L1Hit)
+		if r.probe(cos, la*LineSize) {
+			t.Charge(r.model.LLCHit)
+		} else {
+			t.Charge(r.model.EPCMissCycles(write, paddr < r.epcLimit) / mlp)
+		}
+	}
+}
+
+func (r *refLLC) installRange(t *cycles.Thread, cos CoS, paddr uint64, n int) {
+	first := paddr / LineSize
+	last := (paddr + uint64(n) - 1) / LineSize
+	for la := first; la <= last; la++ {
+		t.Charge(r.model.L1Hit + r.model.LLCHit)
+		r.probe(cos, la*LineSize)
+	}
+}
+
+// TestMatchesReferenceModel drives the LLC and the per-line reference
+// with the same seeded random operation sequences and requires
+// identical hit results, cycles charged per call and Stats after every
+// call. The geometries cover the default cache, an EPC limit that is not
+// line-aligned, and fewer sets than shards; addresses cluster just
+// below shard-run boundaries (numSets among them, so ranges wrap) and
+// draw from twice the associativity in tags, so sets overflow.
+func TestMatchesReferenceModel(t *testing.T) {
+	geometries := []Config{
+		{EPCLimit: 8 << 20},
+		{SizeBytes: 1 << 20, Ways: 8, EPCLimit: 1<<20 + 40},
+		{SizeBytes: 64 << 10, Ways: 4, EPCLimit: 64<<10 + 1},
+		{SizeBytes: 4096, Ways: 16, EPCLimit: 4096 + 33},
+	}
+	for _, cfg := range geometries {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("size=%d/ways=%d/seed=%d", cfg.SizeBytes, cfg.Ways, seed)
+			t.Run(name, func(t *testing.T) { checkAgainstReference(t, cfg, seed) })
+		}
+	}
+}
+
+func checkAgainstReference(t *testing.T, cfg Config, seed int64) {
+	m := cycles.DefaultModel()
+	c := New(m, cfg)
+	ref := newRefLLC(m, c, cfg.EPCLimit)
+	ct, rt := cycles.NewThread(1, m), cycles.NewThread(2, m)
+	rng := rand.New(rand.NewSource(seed))
+
+	sets, ways := uint64(c.Sets()), c.Ways()
+	perShard := max(sets/shardCount, 1)
+	shards := min(sets, shardCount)
+	maxLines := 3*int(min(perShard, 64)) + 2
+	addr := func() uint64 {
+		set := rng.Uint64() % sets
+		if rng.Intn(2) == 0 {
+			boundary := (1 + rng.Uint64()%shards) * perShard
+			set = boundary - 1 - rng.Uint64()%min(4, boundary)
+		}
+		k := rng.Uint64() % uint64(2*ways)
+		return (k*sets+set)*LineSize + rng.Uint64()%LineSize
+	}
+
+	for op := 0; op < 4000; op++ {
+		cos := CoS(rng.Intn(int(numCoS)))
+		write := rng.Intn(2) == 0
+		cBefore, rBefore := ct.Cycles(), rt.Cycles()
+		var desc string
+		switch p := rng.Intn(100); {
+		case p < 40:
+			a := addr()
+			desc = fmt.Sprintf("Access(%d, %#x, %v)", cos, a, write)
+			if got, want := c.Access(ct, cos, a, write), ref.access(rt, cos, a, write); got != want {
+				t.Fatalf("op %d: %s hit=%v, reference %v", op, desc, got, want)
+			}
+		case p < 75:
+			a, n := addr(), 1+rng.Intn(maxLines*LineSize)
+			desc = fmt.Sprintf("AccessRange(%d, %#x, %d, %v)", cos, a, n, write)
+			c.AccessRange(ct, cos, a, n, write)
+			ref.accessRange(rt, cos, a, n, write)
+		case p < 92:
+			a, n := addr(), 1+rng.Intn(maxLines*LineSize)
+			desc = fmt.Sprintf("InstallRange(%d, %#x, %d)", cos, a, n)
+			c.InstallRange(ct, cos, a, n)
+			ref.installRange(rt, cos, a, n)
+		case p < 96:
+			w := 1 + rng.Intn(ways-1)
+			desc = fmt.Sprintf("EnablePartitioning(%d)", w)
+			c.EnablePartitioning(w)
+			ref.enable(w)
+		case p < 99:
+			desc = "DisablePartitioning()"
+			c.DisablePartitioning()
+			ref.disable()
+		default:
+			desc = "Invalidate()"
+			c.Invalidate()
+			ref.invalidate()
+		}
+		if got, want := ct.Cycles()-cBefore, rt.Cycles()-rBefore; got != want {
+			t.Fatalf("op %d: %s charged %d cycles, reference %d", op, desc, got, want)
+		}
+		if got := c.Stats(); got != ref.stats {
+			t.Fatalf("op %d: %s left stats %+v, reference %+v", op, desc, got, ref.stats)
+		}
+	}
+	// The sequence must have exercised every outcome the model counts.
+	st := ref.stats
+	if st.Hits == 0 || st.Evictions == 0 || st.EPCMisses == 0 || st.EPCMisses == st.Misses {
+		t.Fatalf("sequence too narrow: %+v", st)
+	}
+}
+
+// TestConcurrentRangesAndPartitioning runs overlapping ranges from
+// several threads while another goroutine toggles partitioning: no
+// probe may be lost from the counters, and once partitioning settles at
+// four RPC ways, RPC-class streams from several threads must never hold
+// more than four lines of any set.
+func TestConcurrentRangesAndPartitioning(t *testing.T) {
+	m := cycles.DefaultModel()
+	c := New(m, Config{SizeBytes: 256 << 10, Ways: 16, EPCLimit: 128 << 10})
+	const workers, iters = 4, 200
+
+	stop := make(chan struct{})
+	var toggler sync.WaitGroup
+	toggler.Add(1)
+	go func() {
+		defer toggler.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				c.EnablePartitioning(1 + i%15)
+			} else {
+				c.DisablePartitioning()
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	// run starts one goroutine per worker, each with its own thread,
+	// and waits for all of them.
+	run := func(body func(th *cycles.Thread, rng *rand.Rand)) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				body(cycles.NewThread(w, m), rand.New(rand.NewSource(int64(w))))
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	var probed atomic.Uint64
+	run(func(th *cycles.Thread, rng *rand.Rand) {
+		var lines uint64
+		for i := 0; i < iters; i++ {
+			// Every worker draws from the same 512 KiB window.
+			paddr := uint64(rng.Intn(512 << 10))
+			n := 1 + rng.Intn(16<<10)
+			lines += (paddr+uint64(n)-1)/LineSize - paddr/LineSize + 1
+			cos := CoS(rng.Intn(int(numCoS)))
+			if rng.Intn(3) == 0 {
+				c.InstallRange(th, cos, paddr, n)
+			} else {
+				c.AccessRange(th, cos, paddr, n, rng.Intn(2) == 0)
+			}
+		}
+		probed.Add(lines)
+	})
+	close(stop)
+	toggler.Wait()
+	if st := c.Stats(); st.Hits+st.Misses != probed.Load() {
+		t.Fatalf("Hits+Misses = %d, %d lines probed", st.Hits+st.Misses, probed.Load())
+	}
+
+	// RPC-class lines come from a region nothing above touched, twice
+	// the cache's size, streamed from staggered offsets.
+	c.EnablePartitioning(4)
+	const rpcBase = phys.HostBase
+	span := 2 * c.SizeBytes()
+	run(func(th *cycles.Thread, rng *rand.Rand) {
+		for i := 0; i < 8; i++ {
+			off := rng.Intn(span)
+			c.AccessRange(th, CoSRPC, rpcBase+uint64(off), span-off, false)
+		}
+	})
+	rpcFirst, rpcEnd := rpcBase/LineSize+1, (rpcBase+uint64(span))/LineSize+1
+	held := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		for base := 0; base < len(sh.tags); base += c.ways {
+			inSet := 0
+			for w, tag := range sh.tags[base : base+c.ways] {
+				if tag < rpcFirst || tag >= rpcEnd {
+					continue
+				}
+				inSet++
+				if w >= 4 {
+					t.Fatalf("RPC line %#x in way %d outside its 4-way mask", (tag-1)*LineSize, w)
+				}
+			}
+			if inSet > 4 {
+				t.Fatalf("RPC class holds %d lines of one set", inSet)
+			}
+			held += inSet
+		}
+	}
+	if held == 0 {
+		t.Fatal("no RPC-class line cached")
 	}
 }
