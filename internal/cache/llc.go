@@ -1,15 +1,23 @@
 // Package cache models the shared last-level cache of the simulated
-// Skylake machine: a physically-indexed set-associative cache with
-// exact LRU replacement (a per-set sequence number stamps every touch),
-// Intel CAT-style way partitioning between classes of service, and
-// memory-encryption-engine amplification of miss costs for lines that
-// live in the enclave page cache (EPC).
+// Skylake machine: a physically-indexed set-associative cache of at most
+// 16 ways with exact LRU replacement, Intel CAT-style way partitioning
+// between classes of service, and memory-encryption-engine
+// amplification of miss costs for lines that live in the enclave page
+// cache (EPC).
 //
 // The model tracks tags only; data movement is performed by the callers
 // on their own buffers. Its job is to charge the right number of cycles
 // per line touched and to reproduce occupancy effects: cache pollution
 // by system-call I/O buffers (Fig 2a/6b of the paper) and the reduced
 // effective capacity available to enclaves.
+//
+// Each set keeps its ways' tags, a bitmask of the ways holding a line,
+// and its exact recency order: a stack of 4-bit way numbers packed into
+// one word, most recently used first. A hit moves its way to the top of
+// the stack. A miss fills the lowest-numbered free way its class may
+// allocate into, else the allowed way nearest the bottom of the stack —
+// the same victim as stamping every touch with a per-set sequence
+// number and evicting the smallest stamp, without a scan of the stamps.
 //
 // Every call probes its lines one at a time, in address order, but
 // synchronizes and publishes per call: it takes each shard lock once
@@ -25,6 +33,8 @@ package cache
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -68,27 +78,93 @@ type atomicStats struct {
 // threads touching distant addresses still do not serialize.
 const shardCount = 16
 
-// shard holds the state of its sets in flat, set-major arrays: way w of
-// local set s lives at index s*ways+w.
+// maxWays is the largest supported associativity: a set's recency order
+// holds one 4-bit way number per way in a single uint64.
+const maxWays = 16
+
+// shard holds the state of its run of sets.
 type shard struct {
 	mu   sync.Mutex
-	tags []uint64 // lineAddr+1 of the cached line; 0 = invalid
-	lru  []uint32 // per-set sequence number of the last touch; smaller = older
-	seq  []uint32 // per-set access counter
+	sets []set
+}
+
+// set is the state of one set. Its tag array always has maxWays slots;
+// slots at or beyond the cache's associativity stay 0 forever.
+type set struct {
+	tags [maxWays]uint32 // lineAddr+1 of the cached line; 0 = invalid
+	// order is the recency stack: the 4-bit nibble at position p (bits
+	// 4p..4p+3) holds the way used p-th most recently, so nibble 0 is
+	// the most and nibble ways-1 the least recently used way.
+	order uint64
+	valid uint64 // bit w set => way w holds a line
+}
+
+// initialOrder stacks way p at position p, for every possible way.
+const initialOrder = 0xFEDCBA9876543210
+
+// nibbleOnes has a 1 in the low bit of every nibble.
+const nibbleOnes = 0x1111111111111111
+
+// touch moves way to the most recently used position of the recency
+// order.
+func (s *set) touch(way int) {
+	s.promote(s.position(way), way)
+}
+
+// position returns four times the position of way in the recency order.
+// way is in the first ways positions; every later position holds a
+// number of at least ways, so the lowest nibble equal to way is its
+// position.
+func (s *set) position(way int) uint {
+	// x has a zero nibble where way sits; z flags the lowest such
+	// nibble exactly (borrows only propagate upward from it).
+	x := s.order ^ uint64(way)*nibbleOnes
+	z := (x - nibbleOnes) &^ x & (nibbleOnes << 3)
+	return uint(bits.TrailingZeros64(z)) & 60
+}
+
+// promote moves way, at four times position pos of the recency order,
+// to the most recently used position, shifting the ways above it down
+// by one.
+func (s *set) promote(pos uint, way int) {
+	below := uint64(1)<<(pos&60) - 1
+	s.order = s.order&^(below<<4|0xF) | (s.order&below)<<4 | uint64(way)
+}
+
+// fill installs tag after a miss in a way mask allows: the
+// lowest-numbered invalid one, else the least recently used. It reports
+// whether that evicted a valid line. When mask allows no way, the line
+// is not installed.
+func (s *set) fill(tag uint32, mask uint64, ways int) (evicted bool) {
+	if free := mask &^ s.valid; free != 0 {
+		way := bits.TrailingZeros64(free)
+		s.tags[way] = tag
+		s.valid |= 1 << uint(way)
+		s.touch(way)
+		return false
+	}
+	for pos := uint(4 * (ways - 1)); pos < 64; pos -= 4 {
+		if way := int(s.order>>pos) & 0xF; mask>>uint(way)&1 != 0 {
+			s.tags[way] = tag
+			s.promote(pos, way)
+			return true
+		}
+	}
+	return false
 }
 
 // LLC is the shared last-level cache model. It is safe for concurrent
 // use by multiple goroutines.
 type LLC struct {
-	model        *cycles.Model
-	ways         int
-	numSets      int
-	setsPerShard int
-	shards       [shardCount]shard
-	masks        [numCoS]atomic.Uint64 // bit i set => way i allocatable
-	stats        atomicStats
-	epcLimit     uint64 // physical addresses below this are EPC
-	epcLineEnd   uint64 // line addresses below this start inside the EPC
+	model      *cycles.Model
+	ways       int
+	numSets    int
+	shardShift uint // log2 of the sets per shard
+	shards     [shardCount]shard
+	masks      [numCoS]atomic.Uint64 // bit i set => way i allocatable
+	stats      atomicStats
+	epcLimit   uint64 // physical addresses below this are EPC
+	epcLineEnd uint64 // line addresses below this start inside the EPC
 }
 
 // Config describes the cache geometry.
@@ -108,19 +184,22 @@ func New(m *cycles.Model, cfg Config) *LLC {
 		cfg.SizeBytes = 8 << 20
 	}
 	if cfg.Ways == 0 {
-		cfg.Ways = 16
+		cfg.Ways = maxWays
+	}
+	if cfg.Ways < 1 || cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache: %d ways out of range (1..%d)", cfg.Ways, maxWays))
 	}
 	numSets := cfg.SizeBytes / (LineSize * cfg.Ways)
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", numSets))
 	}
 	c := &LLC{
-		model:        m,
-		ways:         cfg.Ways,
-		numSets:      numSets,
-		setsPerShard: max(numSets/shardCount, 1),
-		epcLimit:     cfg.EPCLimit,
-		epcLineEnd:   cfg.EPCLimit / LineSize,
+		model:      m,
+		ways:       cfg.Ways,
+		numSets:    numSets,
+		shardShift: uint(bits.TrailingZeros(uint(max(numSets/shardCount, 1)))),
+		epcLimit:   cfg.EPCLimit,
+		epcLineEnd: cfg.EPCLimit / LineSize,
 	}
 	if cfg.EPCLimit%LineSize != 0 {
 		c.epcLineEnd++
@@ -128,9 +207,10 @@ func New(m *cycles.Model, cfg Config) *LLC {
 	// With fewer sets than shards, only the first numSets shards are used.
 	for i := 0; i < min(shardCount, numSets); i++ {
 		sh := &c.shards[i]
-		sh.tags = make([]uint64, c.setsPerShard*cfg.Ways)
-		sh.lru = make([]uint32, c.setsPerShard*cfg.Ways)
-		sh.seq = make([]uint32, c.setsPerShard)
+		sh.sets = make([]set, 1<<c.shardShift)
+		for j := range sh.sets {
+			sh.sets[j].order = initialOrder
+		}
 	}
 	c.DisablePartitioning()
 	return c
@@ -165,48 +245,41 @@ type tally struct {
 	hits, misses, epcMisses, evictions uint64
 }
 
+func (t *tally) add(u tally) {
+	t.hits += u.hits
+	t.misses += u.misses
+	t.epcMisses += u.epcMisses
+	t.evictions += u.evictions
+}
+
 // probe looks up the lines [first, last] in address order, installing
 // each miss within mask, and publishes the outcomes to the aggregate
 // counters once. A missed line counts as an EPC miss when its address
 // is below epcEnd. It performs no cycle charging; Access, AccessRange
-// and InstallRange charge from the returned tally.
+// and InstallRange charge from the returned tally. It panics if a line
+// address does not fit a 32-bit tag, rather than alias two lines.
 //
 // Consecutive lines map to consecutive sets, so the range splits into
 // runs of sets owned by one shard; each run is probed under a single
 // acquisition of that shard's lock.
 func (c *LLC) probe(mask, first, last, epcEnd uint64) tally {
+	if last >= math.MaxUint32 {
+		panic("cache: line address beyond the 32-bit tag range")
+	}
 	var t tally
-	numSets, perShard, ways := uint64(c.numSets), uint64(c.setsPerShard), c.ways
+	// Set and shard counts are powers of two: index with masks and
+	// shifts rather than divisions.
+	setMask, shift, ways := uint64(c.numSets-1), c.shardShift, c.ways
+	perShard := uint64(1) << shift
 	for la := first; la <= last; {
-		setIdx := la % numSets
-		sh := &c.shards[setIdx/perShard]
-		local := setIdx % perShard
+		setIdx := la & setMask
+		sh := &c.shards[setIdx>>shift]
+		local := setIdx & (perShard - 1)
 		end := la + min(perShard-local, last-la+1)
 		sh.mu.Lock()
-		for ; la < end; la, local = la+1, local+1 {
-			base := int(local) * ways
-			tags := sh.tags[base : base+ways]
-			lru := sh.lru[base : base+ways]
-			sh.seq[local]++
-			seq, tag := sh.seq[local], la+1
-			way, hit, evicted := scan(tags, lru, tag, mask)
-			if hit {
-				lru[way] = seq
-				t.hits++
-				continue
-			}
-			if way >= 0 {
-				tags[way], lru[way] = tag, seq
-			}
-			t.misses++
-			if la < epcEnd {
-				t.epcMisses++
-			}
-			if evicted {
-				t.evictions++
-			}
-		}
+		t.add(probeSets(sh.sets[local:local+end-la], mask, la, epcEnd, ways))
 		sh.mu.Unlock()
+		la = end
 	}
 	if t.hits != 0 {
 		c.stats.hits.Add(t.hits)
@@ -223,35 +296,79 @@ func (c *LLC) probe(mask, first, last, epcEnd uint64) tally {
 	return t
 }
 
-// scan looks tag up in one set, searching every way regardless of mask.
-// On a hit it returns the way holding tag. On a miss it returns the way
-// to fill among those mask allows — the first invalid one, else the
-// least recently used (the last of equals) — or -1 when mask allows
-// none, and whether filling it evicts a valid line.
-func scan(tags []uint64, lru []uint32, tag, mask uint64) (way int, hit, evicted bool) {
-	lru = lru[:len(tags)] // drops the bounds checks on lru[i] below
-	victim, victimSeq, invalid := -1, ^uint32(0), -1
-	for i, tg := range tags {
-		if tg == tag {
-			return i, true, false
-		}
-		allowed := mask&1 != 0
-		mask >>= 1
-		if !allowed {
+// probeSets probes the consecutive lines from la on, one in each of
+// sets, under the lock of the shard that owns sets. It is kept out of
+// probe so that its loop has the registers to itself.
+func probeSets(sets []set, mask, la, epcEnd uint64, ways int) tally {
+	var t tally
+	n := uint64(len(sets))
+	epcLines := min(max(epcEnd, la), la+n) - la // the first epcLines lines are EPC
+	tag := uint32(la)
+	for i := range sets {
+		tag++
+		st := &sets[i]
+		// A hit on the most recently used way leaves the order as it is.
+		if st.tags[st.order&0xF] == tag {
+			t.hits++
 			continue
 		}
-		if tg == 0 {
-			if invalid < 0 {
-				invalid = i
-			}
-		} else if lru[i] <= victimSeq {
-			victim, victimSeq = i, lru[i]
+		way := st.lookup(tag)
+		if way >= 0 {
+			st.touch(way)
+			t.hits++
+			continue
+		}
+		if uint64(i) < epcLines {
+			t.epcMisses++
+		}
+		if st.fill(tag, mask, ways) {
+			t.evictions++
 		}
 	}
-	if invalid >= 0 {
-		return invalid, false, false
+	t.misses = n - t.hits
+	return t
+}
+
+// lookup returns the way holding tag, or -1. It compares every tag slot
+// regardless of the class's mask, as real CAT searches every way. A
+// miss compares all maxWays slots, so the comparison is unrolled: a
+// loop would spend more on its counter than on the compares.
+func (s *set) lookup(tag uint32) int {
+	switch tag {
+	case s.tags[0]:
+		return 0
+	case s.tags[1]:
+		return 1
+	case s.tags[2]:
+		return 2
+	case s.tags[3]:
+		return 3
+	case s.tags[4]:
+		return 4
+	case s.tags[5]:
+		return 5
+	case s.tags[6]:
+		return 6
+	case s.tags[7]:
+		return 7
+	case s.tags[8]:
+		return 8
+	case s.tags[9]:
+		return 9
+	case s.tags[10]:
+		return 10
+	case s.tags[11]:
+		return 11
+	case s.tags[12]:
+		return 12
+	case s.tags[13]:
+		return 13
+	case s.tags[14]:
+		return 14
+	case s.tags[15]:
+		return 15
 	}
-	return victim, false, victim >= 0
+	return -1
 }
 
 // Access simulates one cache-line access at physical address paddr and
@@ -337,7 +454,9 @@ func (c *LLC) Invalidate() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		clear(sh.tags)
+		for j := range sh.sets {
+			sh.sets[j].tags, sh.sets[j].valid = [maxWays]uint32{}, 0
+		}
 		sh.mu.Unlock()
 	}
 }

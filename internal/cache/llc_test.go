@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -153,6 +154,51 @@ func TestInvalidate(t *testing.T) {
 	c.Invalidate()
 	if c.Access(th, CoSDefault, phys.HostBase, false) {
 		t.Fatal("line survived Invalidate")
+	}
+}
+
+// mustPanic runs f and fails unless it panics with exactly want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	f()
+}
+
+func TestNewRejectsWaysOutOfRange(t *testing.T) {
+	m := cycles.DefaultModel()
+	for _, ways := range []int{-1, 17, 32} {
+		mustPanic(t, fmt.Sprintf("cache: %d ways out of range (1..16)", ways), func() {
+			New(m, Config{SizeBytes: 1 << 20, Ways: ways})
+		})
+	}
+	for _, ways := range []int{1, 16} {
+		if got := New(m, Config{SizeBytes: 1 << 20, Ways: ways}).Ways(); got != ways {
+			t.Fatalf("New with %d ways has %d", ways, got)
+		}
+	}
+}
+
+// TestTagRangeGuard checks that a line whose address does not fit a
+// 32-bit tag panics instead of aliasing a low line, on every entry
+// point, and that the highest line that fits is cached.
+func TestTagRangeGuard(t *testing.T) {
+	c, th := newLLC(t)
+	const want = "cache: line address beyond the 32-bit tag range"
+	top := uint64(math.MaxUint32-1) * LineSize // last line that fits
+	c.Access(th, CoSDefault, top, false)
+	if !c.Access(th, CoSDefault, top+LineSize-1, false) {
+		t.Fatal("highest taggable line not cached")
+	}
+	mustPanic(t, want, func() { c.Access(th, CoSDefault, top+LineSize, false) })
+	mustPanic(t, want, func() { c.AccessRange(th, CoSDefault, top, LineSize+1, false) })
+	mustPanic(t, want, func() { c.InstallRange(th, CoSDefault, top+LineSize, 1) })
+	if st := c.Stats(); st.Hits+st.Misses != 2 {
+		t.Fatalf("a rejected call probed lines: %+v", st)
 	}
 }
 
@@ -455,19 +501,22 @@ func TestConcurrentRangesAndPartitioning(t *testing.T) {
 			c.AccessRange(th, CoSRPC, rpcBase+uint64(off), span-off, false)
 		}
 	})
-	rpcFirst, rpcEnd := rpcBase/LineSize+1, (rpcBase+uint64(span))/LineSize+1
+	rpcFirst, rpcEnd := uint32(rpcBase/LineSize+1), uint32((rpcBase+uint64(span))/LineSize+1)
 	held := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
-		for base := 0; base < len(sh.tags); base += c.ways {
+		for s := range sh.sets {
 			inSet := 0
-			for w, tag := range sh.tags[base : base+c.ways] {
+			for w, tag := range sh.sets[s].tags {
+				if valid := sh.sets[s].valid>>uint(w)&1 != 0; valid != (tag != 0) {
+					t.Fatalf("way %d holds tag %#x but its valid bit is %v", w, tag, valid)
+				}
 				if tag < rpcFirst || tag >= rpcEnd {
 					continue
 				}
 				inSet++
 				if w >= 4 {
-					t.Fatalf("RPC line %#x in way %d outside its 4-way mask", (tag-1)*LineSize, w)
+					t.Fatalf("RPC line %#x in way %d outside its 4-way mask", uint64(tag-1)*LineSize, w)
 				}
 			}
 			if inSet > 4 {

@@ -128,9 +128,7 @@ func (a *Arena) ReadAt(addr uint64, buf []byte) {
 		}
 		c := a.chunkForRead(addr)
 		if c == nil {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		} else {
 			copy(buf[:n], c[off:])
 		}

@@ -168,6 +168,34 @@ func TestArenaReadWrite(t *testing.T) {
 	}
 }
 
+// TestArenaReadSpansUntouchedChunk reads across a written chunk, a
+// never-written chunk and another written chunk into a buffer of 0xFF
+// bytes: the written bytes must come back and every untouched byte
+// must be overwritten with zero.
+func TestArenaReadSpansUntouchedChunk(t *testing.T) {
+	a, _ := NewArena(1 << 30)
+	addr, err := a.Alloc(4 * chunkSize) // buddy blocks are size-aligned
+	if err != nil {
+		t.Fatal(err)
+	}
+	const edge = 1000
+	head := bytes.Repeat([]byte{0xAB}, edge)
+	tail := bytes.Repeat([]byte{0xCD}, edge)
+	a.WriteAt(addr+chunkSize-edge, head)
+	a.WriteAt(addr+2*chunkSize, tail)
+	got := bytes.Repeat([]byte{0xFF}, chunkSize+2*edge)
+	a.ReadAt(addr+chunkSize-edge, got)
+	if !bytes.Equal(got[:edge], head) {
+		t.Fatal("written chunk's bytes not read back")
+	}
+	if !bytes.Equal(got[edge:edge+chunkSize], make([]byte, chunkSize)) {
+		t.Fatal("untouched chunk not read as zeros")
+	}
+	if !bytes.Equal(got[edge+chunkSize:], tail) {
+		t.Fatal("second written chunk's bytes not read back")
+	}
+}
+
 func TestArenaSlice(t *testing.T) {
 	a, _ := NewArena(1 << 30)
 	addr, _ := a.Alloc(1 << 20)
