@@ -1,7 +1,7 @@
 // Face verification end to end on the real LBP pipeline: enroll a
 // small population, verify genuine captures and impostor attempts, and
 // show that the SUVM-backed database answered without a single enclave
-// exit.
+// exit. It exits non-zero if any verdict is wrong.
 //
 //	go run ./examples/facecheck
 package main
@@ -93,4 +93,9 @@ func main() {
 	st := heap.Stats()
 	fmt.Printf("\nSUVM software faults: %d, hardware enclave exits during serving: %d\n",
 		st.MajorFaults, exits1-exits0)
+
+	if accepted != population || rejected != population-1 {
+		log.Fatalf("wrong verdicts: %d genuine rejected, %d impostors accepted",
+			population-accepted, population-1-rejected)
+	}
 }

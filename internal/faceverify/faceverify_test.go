@@ -70,7 +70,10 @@ func TestUniformMapCoversAllCodes(t *testing.T) {
 	}
 }
 
-func TestEndToEndVerifyServer(t *testing.T) {
+// newTestServer builds an 8-identity SUVM-backed store and one
+// RPC-mode server over it; the caller's thread is inside the enclave.
+func newTestServer(t *testing.T, synthetic bool) (*Server, *Store, *sgx.Thread) {
+	t.Helper()
 	plat, err := sgx.NewPlatform(sgx.Config{UsablePRMBytes: 32 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -86,20 +89,26 @@ func TestEndToEndVerifyServer(t *testing.T) {
 		Identities: 8,
 		Placement:  PlaceSUVM,
 		Heap:       heap,
-		Synthetic:  false, // real LBP end to end
+		Synthetic:  synthetic,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := rpc.NewPool(plat, 1, 64)
 	pool.Start()
-	defer pool.Stop()
+	t.Cleanup(pool.Stop)
 	eng, err := exitio.NewEngine(exitio.ModeRPCSync, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServerIO(store, eng)
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return srv, store, th
+}
+
+func TestEndToEndVerifyServer(t *testing.T) {
+	srv, _, th := newTestServer(t, false) // real LBP end to end
+	encl := th.Enclave()
 
 	ok, err := srv.Verify(th, 3, 1)
 	if err != nil {
@@ -143,5 +152,52 @@ func TestSynthDescriptorShape(t *testing.T) {
 		if sum != CellSide*CellSide {
 			t.Fatalf("cell %d mass %d want %d", cell, sum, CellSide*CellSide)
 		}
+	}
+}
+
+func TestSyntheticQueryCacheKeyedByIdentity(t *testing.T) {
+	srv, store, th := newTestServer(t, true)
+	for id := uint64(0); id < 8; id++ {
+		for variant := uint64(0); variant < 4; variant++ {
+			ok, err := srv.Verify(th, id, variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatalf("genuine synthetic claim %d/%d rejected", id, variant)
+			}
+		}
+	}
+	if n := len(store.queryCache); n != 8 {
+		t.Fatalf("synthetic store caches %d query descriptors for 8 identities, want 8", n)
+	}
+}
+
+func TestRealQueryCacheKeyedByCapture(t *testing.T) {
+	srv, store, th := newTestServer(t, false)
+	ok, err := srv.Verify(th, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatal("genuine variant-2 claim rejected")
+	}
+	if _, err := srv.Verify(th, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(store.queryCache); n != 2 {
+		t.Fatalf("real store caches %d query descriptors for 2 captures, want 2", n)
+	}
+	if bytes.Equal(store.queryDescriptor(3, 1), store.queryDescriptor(3, 2)) {
+		t.Fatal("captures 3/1 and 3/2 share one descriptor")
+	}
+	// Impostor: identity 3's variant-2 capture claims to be identity 4.
+	enrolled := make([]byte, DescriptorBytes)
+	n, err := store.Lookup(th, 4, enrolled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ChiSquare(store.queryDescriptor(3, 2), enrolled[:n]); d < VerifyThreshold {
+		t.Fatalf("impostor claim accepted: distance %.0f < %d", d, VerifyThreshold)
 	}
 }
