@@ -29,6 +29,10 @@ func TestFleetDisabledSurface(t *testing.T) {
 	}
 }
 
+// fleetRuntimeTraceFingerprint pins the runtime-wired fleet
+// controller's decision sequence below.
+const fleetRuntimeTraceFingerprint uint64 = 0x2990d00da606a986
+
 // The public mirror of internal/fleet's determinism test: one hot and
 // one idle tenant under a contended PRM, driven identically twice, must
 // produce byte-equal decision traces and steer the driver share table
@@ -86,6 +90,9 @@ func TestFleetRuntimeTraceDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(trace1, trace2) {
 		t.Fatalf("decision traces diverge between identical runs:\n run1: %+v\n run2: %+v", trace1, trace2)
+	}
+	if got := traceFingerprint(trace1); got != fleetRuntimeTraceFingerprint {
+		t.Fatalf("decision trace fingerprint %#x, want %#x (%s)", got, fleetRuntimeTraceFingerprint, sum1)
 	}
 	var rebalanced *FleetDecision
 	for i := range trace1 {

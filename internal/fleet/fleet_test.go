@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -155,6 +157,18 @@ func TestFleetUnregisterDropsShare(t *testing.T) {
 	}
 }
 
+// fleetTraceFingerprint pins the decision sequence of a 4-round drive.
+const fleetTraceFingerprint uint64 = 0x9ffdc3766c7f0374
+
+// traceFingerprint hashes the full %+v rendering of a decision trace,
+// so a pinned value catches a change to any field of any decision, not
+// just disagreement between two runs.
+func traceFingerprint(trace any) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", trace)
+	return h.Sum64()
+}
+
 // TestFleetTraceDeterministic pins the determinism contract: two runs
 // of the identical single-threaded load produce bit-identical decision
 // traces.
@@ -170,6 +184,9 @@ func TestFleetTraceDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(t1, t2) {
 		t.Fatalf("traces diverge:\nrun1: %+v\nrun2: %+v", t1, t2)
+	}
+	if got := traceFingerprint(t1); got != fleetTraceFingerprint {
+		t.Fatalf("decision trace fingerprint %#x, want %#x (%d decisions)", got, fleetTraceFingerprint, len(t1))
 	}
 	// The trace records real decisions: at least one rebalanced epoch
 	// with per-tenant shares.

@@ -1,6 +1,8 @@
 package tune_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -139,6 +141,18 @@ func driveTrace(t *testing.T) ([]tune.Decision, tune.Stats, tune.Advice) {
 	return c.Trace(), c.Stats(), c.Advice()
 }
 
+// decisionTraceFingerprint pins driveTrace's decision sequence.
+const decisionTraceFingerprint uint64 = 0x620c64d12d5b0cc0
+
+// traceFingerprint hashes the full %+v rendering of a decision trace,
+// so a pinned value catches a change to any field of any decision, not
+// just disagreement between two runs.
+func traceFingerprint(trace any) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", trace)
+	return h.Sum64()
+}
+
 // The tentpole determinism contract: the same load trace yields the
 // same decision sequence, epoch for epoch, on every run — verified by
 // running the drive twice on fresh platforms.
@@ -160,6 +174,9 @@ func TestDecisionTraceDeterministic(t *testing.T) {
 			}
 		}
 		t.Fatalf("trace lengths differ: %d vs %d", len(trace1), len(trace2))
+	}
+	if got := traceFingerprint(trace1); got != decisionTraceFingerprint {
+		t.Fatalf("decision trace fingerprint %#x, want %#x (%d decisions)", got, decisionTraceFingerprint, len(trace1))
 	}
 
 	// The trace must be non-degenerate: the busy phase grows the pool

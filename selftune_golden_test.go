@@ -2,6 +2,7 @@ package eleos
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
@@ -103,6 +104,19 @@ func TestAutotuneDisabledIsCycleNeutral(t *testing.T) {
 	}
 }
 
+// autoTuneTraceFingerprint pins the runtime-wired tuner's decision
+// sequence below.
+const autoTuneTraceFingerprint uint64 = 0xd1b85f2bfc375e6c
+
+// traceFingerprint hashes the full %+v rendering of a decision trace,
+// so a pinned value catches a change to any field of any decision, not
+// just disagreement between two runs.
+func traceFingerprint(trace any) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", trace)
+	return h.Sum64()
+}
+
 // Fixed-epoch autotuning through the public stack is deterministic: the
 // same bursty drive produces the same decision trace, resize for
 // resize, twice over. (The internal/tune variant proves this for the
@@ -174,6 +188,9 @@ func TestAutoTuneRuntimeTraceDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(trace1, trace2) {
 		t.Fatalf("decision traces diverge between identical runs:\n run1: %+v\n run2: %+v", trace1, trace2)
+	}
+	if got := traceFingerprint(trace1); got != autoTuneTraceFingerprint {
+		t.Fatalf("decision trace fingerprint %#x, want %#x (%s)", got, autoTuneTraceFingerprint, sum1)
 	}
 	var grew, shrank bool
 	for _, d := range trace1 {
