@@ -15,7 +15,10 @@
 #                — the variance-aware perf gate: run the open-loop
 #                  traffic experiment at smoke size and compare against
 #                  the checked-in baseline with cmd/perfdiff; fails on
-#                  a significant regression or a shape change
+#                  a significant regression or a shape change. Then
+#                  regenerate the two controller artifacts
+#                  (BENCH_selftune.json, BENCH_fleet.json) and fail
+#                  unless each is byte-identical to the checked-in file
 #   make bench-gate-baseline
 #                — regenerate the checked-in bench-gate baseline (run
 #                  after a deliberate performance or schema change)
@@ -30,6 +33,12 @@ BIN ?= bin
 # bit-identical on any host.
 GATE_FLAGS = -quick -ops 5000 -runs 3 -run traffic
 GATE_BASELINE = testdata/bench-gate
+
+# The controller experiments print only virtual-cycle figures and
+# decision counts, so they regenerate byte-identical on unchanged code:
+# the gate compares them exactly. A deliberate change regenerates them
+# with `make bench`.
+GATE_EXACT = BENCH_selftune.json BENCH_fleet.json
 
 .PHONY: check fmt vet build test race bench bench-gate bench-gate-baseline lint eleoslint staticcheck
 
@@ -82,6 +91,10 @@ bench-gate:
 	$(GO) build -o $(BIN)/perfdiff ./cmd/perfdiff
 	$(GO) run ./cmd/eleos-bench $(GATE_FLAGS) -json $(BIN)/gate >/dev/null
 	./$(BIN)/perfdiff $(GATE_BASELINE)/BENCH_traffic.json $(BIN)/gate/BENCH_traffic.json
+	$(GO) run ./cmd/eleos-bench -quick -run selftune,fleet -json $(BIN)/gate >/dev/null
+	@for f in $(GATE_EXACT); do \
+		cmp $$f $(BIN)/gate/$$f || { echo "bench-gate: $$f differs from the checked-in file" >&2; exit 1; }; \
+	done
 
 bench-gate-baseline:
 	$(GO) run ./cmd/eleos-bench $(GATE_FLAGS) -json $(GATE_BASELINE) >/dev/null

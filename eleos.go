@@ -112,8 +112,8 @@ type (
 	// Tuner is the self-tuning controller (internal/tune): the feedback
 	// loop behind WithAutoTune / WithWorkerBounds.
 	Tuner = tune.Controller
-	// TunePolicy configures the controller (epoch length, worker
-	// bounds, thresholds, hysteresis).
+	// TunePolicy configures the controller: epoch length, worker
+	// bounds, target utilization and grow/shrink hysteresis.
 	TunePolicy = tune.Policy
 	// TuneStats is a snapshot of controller activity.
 	TuneStats = tune.Stats
@@ -126,8 +126,8 @@ type (
 	// WithFleetBalloon that rebalances PRM shares across enclaves from
 	// live demand instead of the driver's static even split.
 	FleetController = fleet.Controller
-	// FleetPolicy configures the controller (epoch length, share floor,
-	// hysteresis, deadband).
+	// FleetPolicy configures the controller's epoch length; its share
+	// floor, deadband, demand gate and hysteresis are fixed.
 	FleetPolicy = fleet.Policy
 	// FleetStats is a snapshot of fleet controller activity.
 	FleetStats = fleet.Stats
@@ -396,9 +396,6 @@ func (r *Runtime) NewEnclave(cfg EnclaveConfig, opts ...EnclaveOption) (*Enclave
 	r.mu.Lock()
 	r.enclaves = append(r.enclaves, e)
 	r.mu.Unlock()
-	if r.tuner != nil {
-		r.tuner.WatchHeap(heap)
-	}
 	if r.fleet != nil {
 		r.fleet.Register(heap)
 	}

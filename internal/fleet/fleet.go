@@ -1,17 +1,16 @@
-// Package fleet is the fleet-scale adaptive EPC++ balloon controller of
-// ROADMAP item 1: a deterministic epoch controller (in the internal/tune
-// mold) that continuously rebalances PRM shares across a fleet of
-// enclaves from live demand signals instead of the driver's static even
-// split. The paper's ballooning (§3.3, Fig 9) makes every enclave chase
-// the even-split ioctl; with mixed tenants under shifting load that
-// starves the hot tenant while cold tenants hoard EPC++ — the
+// Package fleet is the fleet-scale adaptive EPC++ balloon controller: a
+// deterministic epoch controller on the internal/epoch kernel, like
+// internal/tune, that continuously rebalances PRM shares across a fleet
+// of enclaves from live demand signals instead of the driver's static
+// even split. The paper's ballooning (§3.3, Fig 9) makes every enclave
+// chase the even-split ioctl; with mixed tenants under shifting load
+// that starves the hot tenant while cold tenants hoard EPC++ — the
 // demand-driven sizing argument of "Adaptive and Efficient Dynamic
 // Memory Management for Hardware Enclaves" (PAPERS.md, arXiv
 // 2504.16251).
 //
 // Each epoch the controller samples every registered heap's
-// BalloonSignal (the fault/coalesce/wait/evict-scan counters PR-2
-// introduced and internal/tune reserved for this consumer), folds the
+// BalloonSignal (the fault/coalesce/wait/evict-scan counters), folds the
 // deltas into one demand figure per tenant, and computes a share
 // vector: a floor per tenant, the rest of usable PRM split
 // demand-proportionally, capped at what each heap can actually use.
@@ -38,6 +37,7 @@ import (
 	"fmt"
 	"sync"
 
+	"eleos/internal/epoch"
 	"eleos/internal/phys"
 	"eleos/internal/sgx"
 	"eleos/internal/suvm"
@@ -47,9 +47,8 @@ import (
 // BalloonSignal deltas. Faults dominate (they are the direct cost of a
 // too-small EPC++), coalesced faults count the pressure multi-threaded
 // tenants hide behind the winner's page-in, wait cycles and evict-scan
-// work are divided down to comparable magnitude. Fixed constants, not
-// policy knobs: the weights only need to rank tenants against each
-// other, and fixed weights keep the trace stable across policies.
+// work are divided down to comparable magnitude. The weights only need
+// to rank tenants against each other.
 const (
 	demandFaultWeight    = 4
 	demandCoalesceWeight = 2
@@ -74,92 +73,40 @@ const (
 // active frames, moving eviction work off the tenants' fault paths.
 const freePoolFraction = 32
 
-// Policy tunes the controller. Zero fields select their defaults;
-// Default() returns the fully-populated defaults.
+// The rebalance gates. Fixed constants, not policy knobs:
+//
+//   - minShareFrames is each tenant's PRM share floor in 4 KiB frames
+//     (clamped down when the fleet outgrows the machine). BalloonTarget
+//     keeps 25% headroom, so it must stay ≥ 8 or a share could balloon
+//     a heap under its own 4-frame floor.
+//   - deadbandFrac is the relative share change below which a tenant's
+//     deviation is ignored: rebalances fire only for shifts worth the
+//     exclusive resize phases they cost.
+//   - minDemand is the raw per-epoch demand some tenant must reach
+//     before a rebalance can fire (16 major faults per epoch).
+//     Fault-driven demand is self-extinguishing: the tenant the last
+//     rebalance satisfied goes quiet while everyone's residual fault
+//     noise keeps trickling, so without an absolute activity gate the
+//     proportional split slowly confiscates the winner's frames until it
+//     thrashes again, oscillating forever. Below the gate the installed
+//     shares are simply kept.
+//   - hysteresis consecutive deviating epochs must agree before a
+//     rebalance that only grows shares is applied; shrinkHysteresis
+//     gates rebalances that take EPC++ away from any tenant — scale up
+//     fast, down slowly.
+const (
+	minShareFrames   = 64
+	deadbandFrac     = 0.10
+	minDemand        = 64
+	hysteresis       = epoch.DefaultHysteresis
+	shrinkHysteresis = 2 * hysteresis
+)
+
+// Policy configures the controller.
 type Policy struct {
 	// EpochCycles is the decision period in virtual cycles of the
-	// pumping thread (default 1e6).
+	// pumping thread (zero selects epoch.DefaultEvery, 1e6).
 	EpochCycles uint64
-	// MinShareFrames is each tenant's PRM share floor in 4 KiB frames
-	// (default 64; clamped down when the fleet outgrows the machine).
-	MinShareFrames int
-	// Hysteresis is how many consecutive deviating epochs must agree
-	// before a rebalance that only grows shares is applied (default 2);
-	// ShrinkHysteresis gates rebalances that take EPC++ away from any
-	// tenant (default 2×Hysteresis) — scale up fast, down slowly.
-	Hysteresis       int
-	ShrinkHysteresis int
-	// DeadbandFrac is the relative share change below which a tenant's
-	// deviation is ignored (default 0.10): rebalances fire only for
-	// shifts worth the exclusive resize phases they cost.
-	DeadbandFrac float64
-	// MinDemand is the raw per-epoch demand some tenant must reach
-	// before a rebalance can fire (default 64, i.e. 16 major faults per
-	// epoch). Fault-driven demand is self-extinguishing: the tenant the
-	// last rebalance satisfied goes quiet while everyone's residual
-	// fault noise keeps trickling, so without an absolute activity gate
-	// the proportional split slowly confiscates the winner's frames
-	// until it thrashes again, oscillating forever. Below the gate the
-	// installed shares are simply kept.
-	MinDemand uint64
-	// TraceCap bounds the recorded decision trace (default 4096).
-	TraceCap int
-}
-
-// Default returns the default policy.
-func Default() Policy {
-	return Policy{
-		EpochCycles:      1_000_000,
-		MinShareFrames:   64,
-		Hysteresis:       2,
-		ShrinkHysteresis: 4,
-		DeadbandFrac:     0.10,
-		MinDemand:        64,
-		TraceCap:         4096,
-	}
-}
-
-// normalized fills zero fields with their defaults.
-func (p Policy) normalized() Policy {
-	d := Default()
-	if p.EpochCycles == 0 {
-		p.EpochCycles = d.EpochCycles
-	}
-	if p.MinShareFrames == 0 {
-		p.MinShareFrames = d.MinShareFrames
-	}
-	if p.Hysteresis == 0 {
-		p.Hysteresis = d.Hysteresis
-	}
-	if p.ShrinkHysteresis == 0 {
-		p.ShrinkHysteresis = 2 * p.Hysteresis
-	}
-	if p.DeadbandFrac == 0 {
-		p.DeadbandFrac = d.DeadbandFrac
-	}
-	if p.MinDemand == 0 {
-		p.MinDemand = d.MinDemand
-	}
-	if p.TraceCap == 0 {
-		p.TraceCap = d.TraceCap
-	}
-	return p
-}
-
-func (p Policy) validate() error {
-	switch {
-	case p.MinShareFrames < 8:
-		// BalloonTarget keeps 25% headroom, so a share below 8 frames
-		// could balloon a heap under its own 4-frame floor.
-		return fmt.Errorf("fleet: MinShareFrames %d < 8", p.MinShareFrames)
-	case p.DeadbandFrac < 0 || p.DeadbandFrac >= 1:
-		return fmt.Errorf("fleet: DeadbandFrac %g outside [0, 1)", p.DeadbandFrac)
-	case p.Hysteresis < 1:
-		return fmt.Errorf("fleet: Hysteresis %d < 1", p.Hysteresis)
-	case p.ShrinkHysteresis < p.Hysteresis:
-		return fmt.Errorf("fleet: ShrinkHysteresis %d < Hysteresis %d", p.ShrinkHysteresis, p.Hysteresis)
-	}
-	return nil
 }
 
 // tenant is one registered heap with its controller-side state.
@@ -239,7 +186,6 @@ type Stats struct {
 // (an internal mutex serializes epochs), but determinism of the
 // decision sequence is guaranteed only for a single pumping thread.
 type Controller struct {
-	pol    Policy
 	driver *sgx.Driver
 
 	// mu serializes epoch evaluation. Epochs call ResizeTo /
@@ -252,30 +198,24 @@ type Controller struct {
 
 	tenants []*tenant
 
-	started    bool
-	lastStamp  uint64
-	epochs     uint64
+	clock      epoch.Clock
 	rebalances uint64
-	votes      int
+	votes      epoch.Streak[struct{}]
 
-	trace []Decision
+	trace epoch.Trace[Decision]
 }
 
-// New builds a controller over the platform's driver. The policy's zero
-// fields take their defaults; the populated policy is validated.
+// New builds a controller over the platform's driver. A zero
+// EpochCycles takes the default.
 func New(d *sgx.Driver, pol Policy) (*Controller, error) {
 	if d == nil {
 		return nil, fmt.Errorf("fleet: nil driver")
 	}
-	pol = pol.normalized()
-	if err := pol.validate(); err != nil {
-		return nil, err
+	if pol.EpochCycles == 0 {
+		pol.EpochCycles = epoch.DefaultEvery
 	}
-	return &Controller{pol: pol, driver: d}, nil
+	return &Controller{driver: d, clock: epoch.Clock{Every: pol.EpochCycles}}, nil
 }
-
-// Policy returns the controller's normalized policy.
-func (c *Controller) Policy() Policy { return c.pol }
 
 // Register adds a heap to the fleet. The controller creates its own
 // thread in the heap's enclave so resize write-backs are charged off
@@ -327,19 +267,16 @@ func (c *Controller) Pump(th *sgx.Thread) bool {
 	now := th.T.Cycles()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.started {
-		c.started = true
-		c.lastStamp = now
+	switch tick, _ := c.clock.Tick(now); tick {
+	case epoch.Baseline:
 		for _, t := range c.tenants {
 			t.prev = t.h.BalloonSignal()
 		}
-		return false
+	case epoch.Fire:
+		c.decide(now)
+		return true
 	}
-	if now < c.lastStamp+c.pol.EpochCycles {
-		return false
-	}
-	c.epoch(now)
-	return true
+	return false
 }
 
 // demandOf folds one epoch's signal delta into the tenant's demand
@@ -369,11 +306,9 @@ func capFrames(sig suvm.BalloonSignal) int {
 	return int((shareBytes + phys.PageSize - 1) / phys.PageSize)
 }
 
-// epoch runs one decision with c.mu held.
-func (c *Controller) epoch(now uint64) {
-	c.lastStamp = now
-	c.epochs++
-
+// decide runs one epoch with c.mu held: the demand signals, the share
+// vector, the rebalance vote and, when it fires, the rebalance.
+func (c *Controller) decide(now uint64) {
 	n := len(c.tenants)
 	if n == 0 {
 		return
@@ -400,16 +335,16 @@ func (c *Controller) epoch(now uint64) {
 	want := c.sharesFor(sigs, demands, totalDemand)
 
 	// Vote: a rebalance is worth its exclusive resize phases only when
-	// some tenant is actively suffering (raw demand at the MinDemand
+	// some tenant is actively suffering (raw demand at the minDemand
 	// gate) AND some tenant's share moves beyond the deadband. Epochs
-	// that would shrink any tenant need ShrinkHysteresis consecutive
+	// that would shrink any tenant need shrinkHysteresis consecutive
 	// deviating epochs; grow-only epochs (slack from a destroyed
-	// tenant) just Hysteresis.
+	// tenant) just hysteresis. Both kinds count toward one streak.
 	deviates, shrinks := false, false
-	if maxRaw >= c.pol.MinDemand {
+	if maxRaw >= minDemand {
 		for i, t := range c.tenants {
 			cur := t.shareFrames
-			band := int(c.pol.DeadbandFrac * float64(cur))
+			band := int(deadbandFrac * float64(cur))
 			if band < 1 {
 				band = 1
 			}
@@ -426,20 +361,16 @@ func (c *Controller) epoch(now uint64) {
 	}
 	rebalanced := false
 	if !deviates {
-		c.votes = 0
+		c.votes.Reset()
 	} else {
-		c.votes++
-		needed := c.pol.Hysteresis
+		need := hysteresis
 		if shrinks {
-			needed = c.pol.ShrinkHysteresis
+			need = shrinkHysteresis
 		}
-		if c.votes >= needed {
-			c.votes = 0
-			rebalanced = true
-		}
+		rebalanced = c.votes.Vote(struct{}{}, need)
 	}
 
-	dec := Decision{Epoch: c.epochs, Cycles: now, Votes: c.votes, Rebalanced: rebalanced,
+	dec := Decision{Epoch: c.clock.Epochs(), Cycles: now, Votes: c.votes.Count(), Rebalanced: rebalanced,
 		Tenants: make([]TenantDecision, n)}
 	for i, t := range c.tenants {
 		share := t.shareFrames
@@ -459,9 +390,7 @@ func (c *Controller) epoch(now uint64) {
 		c.applyLocked(want, dec.Tenants)
 	}
 
-	if c.pol.TraceCap < 0 || len(c.trace) < c.pol.TraceCap {
-		c.trace = append(c.trace, dec)
-	}
+	c.trace.Add(dec)
 }
 
 // sharesFor computes the desired share vector: a floor per tenant, the
@@ -471,7 +400,7 @@ func (c *Controller) epoch(now uint64) {
 func (c *Controller) sharesFor(sigs []suvm.BalloonSignal, demands []uint64, totalDemand uint64) []int {
 	n := len(c.tenants)
 	budget := c.driver.NumFrames()
-	floor := c.pol.MinShareFrames
+	floor := minShareFrames
 	if floor*n > budget {
 		floor = budget / n
 	}
@@ -574,7 +503,7 @@ func (c *Controller) applyLocked(want []int, decs []TenantDecision) {
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{Enabled: true, Epochs: c.epochs, Rebalances: c.rebalances}
+	st := Stats{Enabled: true, Epochs: c.clock.Epochs(), Rebalances: c.rebalances}
 	for _, t := range c.tenants {
 		sig := t.h.BalloonSignal()
 		st.Skips += t.skips
@@ -590,16 +519,15 @@ func (c *Controller) Stats() Stats {
 	return st
 }
 
-// Trace returns a copy of the recorded decision sequence (bounded by
-// Policy.TraceCap). Two runs of the same single-threaded load yield
-// identical traces — the determinism contract the tests pin.
+// Trace returns a deep copy of the recorded decision sequence (the
+// first 4096 decisions). Two runs of the same single-threaded load
+// yield identical traces — the determinism contract the tests pin.
 func (c *Controller) Trace() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Decision, len(c.trace))
-	for i, d := range c.trace {
-		d.Tenants = append([]TenantDecision(nil), d.Tenants...)
-		out[i] = d
+	out := c.trace.Copy()
+	for i := range out {
+		out[i].Tenants = append([]TenantDecision(nil), out[i].Tenants...)
 	}
 	return out
 }

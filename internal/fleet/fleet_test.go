@@ -83,22 +83,12 @@ func TestPolicyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []Policy{
-		{MinShareFrames: 4},
-		{DeadbandFrac: 1.5},
-		{Hysteresis: -1},
-		{Hysteresis: 3, ShrinkHysteresis: 2},
-	} {
-		if _, err := New(plat.Driver, bad); err == nil {
-			t.Fatalf("bad policy %+v accepted", bad)
-		}
-	}
 	c, err := New(plat.Driver, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Policy(), Default(); got != want {
-		t.Fatalf("zero policy normalized to %+v, want defaults %+v", got, want)
+	if got := c.clock.Every; got != 1_000_000 {
+		t.Fatalf("zero EpochCycles became an epoch of %d cycles, want 1e6", got)
 	}
 }
 
@@ -201,5 +191,23 @@ func TestFleetTraceDeterministic(t *testing.T) {
 	}
 	if !rebalanced {
 		t.Fatal("trace has no rebalanced epoch")
+	}
+}
+
+// A returned trace is the caller's: writing through its Tenants slices
+// must not reach the controller's record.
+func TestFleetTraceIsDeepCopy(t *testing.T) {
+	e := newFleetEnv(t, Policy{EpochCycles: 200_000})
+	e.drive(t, 1)
+	got := e.c.Trace()
+	if len(got) == 0 || len(got[0].Tenants) == 0 {
+		t.Fatalf("trace has no tenant decisions: %+v", got)
+	}
+	want := got[0].Tenants[0]
+	got[0].Tenants[0].ShareFrames = -1
+	got[0].Epoch = 0
+	again := e.c.Trace()
+	if again[0].Tenants[0] != want || again[0].Epoch != 1 {
+		t.Fatalf("writing the returned trace changed the controller's: %+v", again[0])
 	}
 }

@@ -7,8 +7,10 @@
 //
 // The controller is sampled, not threaded: enclave serving loops call
 // Pump at natural points (once per request is plenty — off-epoch Pumps
-// are one comparison). When the pumping thread's virtual clock crosses
-// an epoch boundary the controller reads the pool and engine counters,
+// are one comparison). The epoch clock, the vote streaks and the
+// decision trace are internal/epoch's; this package adds the signals
+// and the actuators. When the pumping thread's virtual clock crosses an
+// epoch boundary the controller reads the pool and engine counters,
 // forms two signals, and decides:
 //
 //   - demand — worker-cycles of settled service per caller-cycle
@@ -17,11 +19,10 @@
 //     [MinWorkers, MaxWorkers], after Hysteresis consecutive epochs
 //     agree on the direction (shrinks wait ShrinkHysteresis epochs —
 //     scale up fast, down slowly).
-//   - the same demand picks the submission-mode advice: below
-//     SyncDemand a synchronous single-op loop is cheapest; above it the
-//     asynchronous engine hides worker latency behind compute; above
-//     ChainDemand submissions should also be linked/batched so one
-//     doorbell carries many ops.
+//   - the same demand picks the submission-mode advice: below 0.5 a
+//     synchronous single-op loop is cheapest; above it the asynchronous
+//     engine hides worker latency behind compute; above 1.5 submissions
+//     should also be linked/batched so one doorbell carries many ops.
 //
 // Every decision input is derived from virtual-cycle counters that
 // advance on the submitting threads (SettledWorkCycles, WaitCycles,
@@ -34,7 +35,7 @@
 // decision logic.
 //
 // Trust domain: trusted — Pump runs on enclave serving threads and
-// touches only the rpc/exitio boundary objects and suvm facade stats.
+// touches only the rpc/exitio boundary objects.
 //
 //eleos:trusted
 //eleos:deterministic
@@ -45,17 +46,17 @@ import (
 	"math"
 	"sync"
 
+	"eleos/internal/epoch"
 	"eleos/internal/exitio"
 	"eleos/internal/rpc"
 	"eleos/internal/sgx"
-	"eleos/internal/suvm"
 )
 
-// Policy tunes the controller itself. The zero value of any field
+// Policy sets the controller's bounds. The zero value of any field
 // selects its default; Default() returns the fully-populated defaults.
 type Policy struct {
 	// EpochCycles is the decision period in virtual cycles of the
-	// pumping thread (default 1e6 ≈ 0.3 ms on the paper's machine).
+	// pumping thread (default epoch.DefaultEvery, 1e6).
 	EpochCycles uint64
 	// MinWorkers and MaxWorkers bound the RPC worker pool (defaults 1
 	// and 8). The pool starts at MinWorkers and is never resized
@@ -67,40 +68,43 @@ type Policy struct {
 	// workers (default 0.85).
 	TargetUtilization float64
 	// Hysteresis is how many consecutive epochs must agree before the
-	// controller grows the pool or switches mode advice (default 2);
-	// ShrinkHysteresis gates shrinks separately (default 2×Hysteresis),
-	// so a short lull does not throw workers away.
+	// controller grows the pool or switches mode advice (default 2; a
+	// mode switch always needs at least two). ShrinkHysteresis gates
+	// shrinks separately (default 2×Hysteresis), so a short lull does
+	// not throw workers away.
 	Hysteresis       int
 	ShrinkHysteresis int
-	// SyncDemand and ChainDemand split the demand axis into the three
-	// submission strategies: below SyncDemand (default 0.5) the advice
-	// is synchronous single-op dispatch, above it asynchronous, and
-	// above ChainDemand (default 1.5) asynchronous with linked/batched
-	// chains.
-	SyncDemand  float64
-	ChainDemand float64
-	// TraceCap bounds the recorded decision trace (default 4096
-	// decisions; the trace stops growing beyond it).
-	TraceCap int
 }
+
+// The demand axis splits into the three submission strategies: below
+// syncDemand the advice is synchronous single-op dispatch, above it
+// asynchronous, and above chainDemand asynchronous with linked/batched
+// chains.
+const (
+	syncDemand  = 0.5
+	chainDemand = 1.5
+)
+
+// minModeVotes is the shortest mode streak: the first epoch that wants
+// a new advice only opens the streak, so even Hysteresis 1 needs a
+// second agreeing epoch before the advice flips.
+const minModeVotes = 2
 
 // Default returns the default policy.
 func Default() Policy {
 	return Policy{
-		EpochCycles:       1_000_000,
+		EpochCycles:       epoch.DefaultEvery,
 		MinWorkers:        1,
 		MaxWorkers:        8,
 		TargetUtilization: 0.85,
-		Hysteresis:        2,
-		ShrinkHysteresis:  4,
-		SyncDemand:        0.5,
-		ChainDemand:       1.5,
-		TraceCap:          4096,
+		Hysteresis:        epoch.DefaultHysteresis,
+		ShrinkHysteresis:  2 * epoch.DefaultHysteresis,
 	}
 }
 
-// normalized fills zero fields with their defaults.
-func (p Policy) normalized() Policy {
+// resolved fills zero fields with their defaults and validates the
+// result.
+func (p Policy) resolved() (Policy, error) {
 	d := Default()
 	if p.EpochCycles == 0 {
 		p.EpochCycles = d.EpochCycles
@@ -114,36 +118,19 @@ func (p Policy) normalized() Policy {
 	if p.TargetUtilization == 0 {
 		p.TargetUtilization = d.TargetUtilization
 	}
-	if p.Hysteresis == 0 {
-		p.Hysteresis = d.Hysteresis
+	var err error
+	if p.Hysteresis, p.ShrinkHysteresis, err = epoch.Hysteresis(p.Hysteresis, p.ShrinkHysteresis); err != nil {
+		return p, fmt.Errorf("tune: %w", err)
 	}
-	if p.ShrinkHysteresis == 0 {
-		p.ShrinkHysteresis = 2 * p.Hysteresis
-	}
-	if p.SyncDemand == 0 {
-		p.SyncDemand = d.SyncDemand
-	}
-	if p.ChainDemand == 0 {
-		p.ChainDemand = d.ChainDemand
-	}
-	if p.TraceCap == 0 {
-		p.TraceCap = d.TraceCap
-	}
-	return p
-}
-
-func (p Policy) validate() error {
 	switch {
 	case p.MinWorkers < 1:
-		return fmt.Errorf("tune: MinWorkers %d < 1", p.MinWorkers)
+		return p, fmt.Errorf("tune: MinWorkers %d < 1", p.MinWorkers)
 	case p.MaxWorkers < p.MinWorkers:
-		return fmt.Errorf("tune: MaxWorkers %d < MinWorkers %d", p.MaxWorkers, p.MinWorkers)
+		return p, fmt.Errorf("tune: MaxWorkers %d < MinWorkers %d", p.MaxWorkers, p.MinWorkers)
 	case p.TargetUtilization <= 0 || p.TargetUtilization > 1:
-		return fmt.Errorf("tune: TargetUtilization %g outside (0, 1]", p.TargetUtilization)
-	case p.SyncDemand > p.ChainDemand:
-		return fmt.Errorf("tune: SyncDemand %g > ChainDemand %g", p.SyncDemand, p.ChainDemand)
+		return p, fmt.Errorf("tune: TargetUtilization %g outside (0, 1]", p.TargetUtilization)
 	}
-	return nil
+	return p, nil
 }
 
 // Advice is the controller's current submission recommendation: the
@@ -154,11 +141,11 @@ type Advice struct {
 	Chain bool
 }
 
-func adviceFor(p Policy, demand float64) Advice {
+func adviceFor(demand float64) Advice {
 	switch {
-	case demand < p.SyncDemand:
+	case demand < syncDemand:
 		return Advice{Mode: exitio.ModeRPCSync}
-	case demand < p.ChainDemand:
+	case demand < chainDemand:
 		return Advice{Mode: exitio.ModeRPCAsync}
 	default:
 		return Advice{Mode: exitio.ModeRPCAsync, Chain: true}
@@ -188,11 +175,6 @@ type Sample struct {
 	// QueueDepth is the instantaneous published-but-undequeued request
 	// count at the epoch boundary (observability only).
 	QueueDepth int64
-	// Aggregate watched-heap deltas (observability only for now; the
-	// EPC++ balloon controller of ROADMAP item 1 is their consumer).
-	MajorFaults     uint64
-	FaultsCoalesced uint64
-	FaultWaitCycles uint64
 }
 
 // Decision is one epoch's outcome. Every field is derived from
@@ -241,12 +223,6 @@ type Stats struct {
 	Last Sample
 }
 
-// HeapSource is anything exposing SUVM counters (a *suvm.Heap); watched
-// heaps contribute fault/coalesce rates to the epoch samples.
-type HeapSource interface {
-	Stats() suvm.StatsSnapshot
-}
-
 // Controller is the feedback loop. One controller owns one pool and one
 // engine; any number of serving threads may Pump it (an internal mutex
 // serializes epochs), but determinism of the decision sequence is
@@ -262,15 +238,10 @@ type Controller struct {
 	//eleos:lockorder 80
 	mu sync.Mutex
 
-	heaps []HeapSource
+	clock   epoch.Clock
+	prevRPC rpc.Stats
+	prevIO  exitio.Stats
 
-	started   bool
-	lastStamp uint64
-	prevRPC   rpc.Stats
-	prevIO    exitio.Stats
-	prevHeap  [3]uint64 // MajorFaults, FaultsCoalesced, FaultWaitCycles
-
-	epochs       uint64
 	grows        uint64
 	shrinks      uint64
 	modeSwitches uint64
@@ -279,12 +250,12 @@ type Controller struct {
 	lastStall    float64
 	lastSample   Sample
 
-	growVotes   int
-	shrinkVotes int
-	modeVotes   int
-	modeWant    Advice
+	// resizeVotes is keyed by direction (true = grow), modeVotes by the
+	// wanted advice.
+	resizeVotes epoch.Streak[bool]
+	modeVotes   epoch.Streak[Advice]
 
-	trace []Decision
+	trace epoch.Trace[Decision]
 }
 
 // New builds a controller over the pool and engine. The policy's zero
@@ -298,26 +269,17 @@ func New(pool *rpc.Pool, eng *exitio.Engine, pol Policy) (*Controller, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("tune: nil I/O engine")
 	}
-	pol = pol.normalized()
-	if err := pol.validate(); err != nil {
+	pol, err := pol.resolved()
+	if err != nil {
 		return nil, err
 	}
-	c := &Controller{pol: pol, pool: pool, eng: eng}
+	c := &Controller{pol: pol, pool: pool, eng: eng, clock: epoch.Clock{Every: pol.EpochCycles}}
 	c.advice = Advice{Mode: eng.Mode(), Chain: eng.Mode() == exitio.ModeRPCAsync}
-	c.modeWant = c.advice
 	return c, nil
 }
 
 // Policy returns the controller's normalized policy.
 func (c *Controller) Policy() Policy { return c.pol }
-
-// WatchHeap adds a SUVM heap whose fault counters join the epoch
-// samples. Call during setup, before pumping starts.
-func (c *Controller) WatchHeap(h HeapSource) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.heaps = append(c.heaps, h)
-}
 
 // Advice returns the current submission recommendation.
 func (c *Controller) Advice() Advice {
@@ -325,9 +287,6 @@ func (c *Controller) Advice() Advice {
 	defer c.mu.Unlock()
 	return c.advice
 }
-
-// Workers returns the live worker-pool size.
-func (c *Controller) Workers() int { return c.pool.WorkerCount() }
 
 // ApplyMode brings q onto the current mode advice, at a chain boundary
 // (Queue.SetMode settles anything in flight first). Serving loops call
@@ -349,41 +308,21 @@ func (c *Controller) Pump(th *sgx.Thread) bool {
 	now := th.T.Cycles()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.started {
-		// Baseline epoch: record the starting counters, decide nothing.
-		c.started = true
-		c.lastStamp = now
-		c.prevRPC = c.pool.Stats()
-		c.prevIO = c.eng.Stats()
-		c.prevHeap = c.heapCounters()
-		return false
+	switch tick, elapsed := c.clock.Tick(now); tick {
+	case epoch.Baseline:
+		c.prevRPC, c.prevIO = c.pool.Stats(), c.eng.Stats()
+	case epoch.Fire:
+		c.decide(now, elapsed)
+		return true
 	}
-	if now < c.lastStamp+c.pol.EpochCycles {
-		return false
-	}
-	c.epoch(now)
-	return true
+	return false
 }
 
-func (c *Controller) heapCounters() [3]uint64 {
-	var out [3]uint64
-	for _, h := range c.heaps {
-		s := h.Stats()
-		out[0] += s.MajorFaults
-		out[1] += s.FaultsCoalesced
-		out[2] += s.FaultWaitCycles
-	}
-	return out
-}
-
-// epoch runs one decision with c.mu held.
-func (c *Controller) epoch(now uint64) {
-	elapsed := now - c.lastStamp
-	c.lastStamp = now
-
+// decide runs one epoch with c.mu held: the signals from the counter
+// deltas, then the resize and mode votes.
+func (c *Controller) decide(now, elapsed uint64) {
 	rs := c.pool.Stats()
 	is := c.eng.Stats()
-	hs := c.heapCounters()
 	sample := Sample{
 		ElapsedCycles:     elapsed,
 		Calls:             rs.Calls - c.prevRPC.Calls,
@@ -395,16 +334,12 @@ func (c *Controller) epoch(now uint64) {
 		Sleeps:            rs.Sleeps - c.prevRPC.Sleeps,
 		Wakes:             rs.Wakes - c.prevRPC.Wakes,
 		QueueDepth:        rs.QueueDepth,
-		MajorFaults:       hs[0] - c.prevHeap[0],
-		FaultsCoalesced:   hs[1] - c.prevHeap[1],
-		FaultWaitCycles:   hs[2] - c.prevHeap[2],
 	}
-	c.prevRPC, c.prevIO, c.prevHeap = rs, is, hs
+	c.prevRPC, c.prevIO = rs, is
 
 	demand := float64(sample.SettledWorkCycles) / float64(elapsed)
 	stall := float64(sample.WaitCycles) / float64(elapsed)
 	c.lastDemand, c.lastStall, c.lastSample = demand, stall, sample
-	c.epochs++
 
 	workers := c.pool.WorkerCount()
 	resized := c.voteResize(demand, workers)
@@ -413,77 +348,56 @@ func (c *Controller) epoch(now uint64) {
 	}
 	switched := c.voteMode(demand)
 
-	if c.pol.TraceCap < 0 || len(c.trace) < c.pol.TraceCap {
-		c.trace = append(c.trace, Decision{
-			Epoch:    c.epochs,
-			Cycles:   now,
-			Demand:   demand,
-			Stall:    stall,
-			Workers:  workers,
-			Resized:  resized,
-			Mode:     c.advice.Mode,
-			Chain:    c.advice.Chain,
-			Switched: switched,
-		})
-	}
+	c.trace.Add(Decision{
+		Epoch:    c.clock.Epochs(),
+		Cycles:   now,
+		Demand:   demand,
+		Stall:    stall,
+		Workers:  workers,
+		Resized:  resized,
+		Mode:     c.advice.Mode,
+		Chain:    c.advice.Chain,
+		Switched: switched,
+	})
 }
 
-// voteResize runs the worker-count hysteresis and applies a resize once
-// enough consecutive epochs agree. Returns whether the pool changed.
+// voteResize votes on the worker count and resizes the pool once enough
+// consecutive epochs agree on the direction. Returns whether the pool
+// changed.
 func (c *Controller) voteResize(demand float64, workers int) bool {
 	target := int(math.Ceil(demand / c.pol.TargetUtilization))
-	if target < c.pol.MinWorkers {
-		target = c.pol.MinWorkers
+	target = min(max(target, c.pol.MinWorkers), c.pol.MaxWorkers)
+	if target == workers {
+		c.resizeVotes.Reset()
+		return false
 	}
-	if target > c.pol.MaxWorkers {
-		target = c.pol.MaxWorkers
+	grow := target > workers
+	need := c.pol.ShrinkHysteresis
+	if grow {
+		need = c.pol.Hysteresis
 	}
-	switch {
-	case target > workers:
-		c.growVotes++
-		c.shrinkVotes = 0
-		if c.growVotes >= c.pol.Hysteresis {
-			c.growVotes = 0
-			if c.pool.Resize(target) == nil {
-				c.grows++
-				return true
-			}
-		}
-	case target < workers:
-		c.shrinkVotes++
-		c.growVotes = 0
-		if c.shrinkVotes >= c.pol.ShrinkHysteresis {
-			c.shrinkVotes = 0
-			if c.pool.Resize(target) == nil {
-				c.shrinks++
-				return true
-			}
-		}
-	default:
-		c.growVotes, c.shrinkVotes = 0, 0
+	if !c.resizeVotes.Vote(grow, need) || c.pool.Resize(target) != nil {
+		return false
 	}
-	return false
+	if grow {
+		c.grows++
+	} else {
+		c.shrinks++
+	}
+	return true
 }
 
-// voteMode runs the advice hysteresis. Returns whether the advice
-// changed this epoch.
+// voteMode votes on the advice. Returns whether the advice changed
+// this epoch.
 func (c *Controller) voteMode(demand float64) bool {
-	want := adviceFor(c.pol, demand)
+	want := adviceFor(demand)
 	if want == c.advice {
-		c.modeVotes = 0
-		c.modeWant = want
+		c.modeVotes.Reset()
 		return false
 	}
-	if want != c.modeWant {
-		c.modeWant = want
-		c.modeVotes = 1
+	if !c.modeVotes.Vote(want, max(c.pol.Hysteresis, minModeVotes)) {
 		return false
 	}
-	c.modeVotes++
-	if c.modeVotes < c.pol.Hysteresis {
-		return false
-	}
-	c.modeVotes = 0
 	c.advice = want
 	c.modeSwitches++
 	return true
@@ -495,7 +409,7 @@ func (c *Controller) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Enabled:      true,
-		Epochs:       c.epochs,
+		Epochs:       c.clock.Epochs(),
 		Grows:        c.grows,
 		Shrinks:      c.shrinks,
 		ModeSwitches: c.modeSwitches,
@@ -508,11 +422,11 @@ func (c *Controller) Stats() Stats {
 	}
 }
 
-// Trace returns a copy of the recorded decision sequence (bounded by
-// Policy.TraceCap). Two runs of the same single-threaded load trace
+// Trace returns a copy of the recorded decision sequence (the first
+// 4096 decisions). Two runs of the same single-threaded load trace
 // yield identical traces — the determinism contract the tests pin.
 func (c *Controller) Trace() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Decision(nil), c.trace...)
+	return c.trace.Copy()
 }

@@ -9,7 +9,6 @@ import (
 	"eleos/internal/exitio"
 	"eleos/internal/rpc"
 	"eleos/internal/sgx"
-	"eleos/internal/suvm"
 	"eleos/internal/tune"
 )
 
@@ -42,7 +41,9 @@ func TestPolicyValidation(t *testing.T) {
 		{MinWorkers: 4, MaxWorkers: 2},
 		{TargetUtilization: 1.5},
 		{TargetUtilization: -0.2},
-		{SyncDemand: 2, ChainDemand: 1},
+		{Hysteresis: -1},
+		{Hysteresis: -1, ShrinkHysteresis: -3},
+		{Hysteresis: 3, ShrinkHysteresis: 2},
 	}
 	for i, pol := range bad {
 		if _, err := tune.New(pool, eng, pol); err == nil {
@@ -103,10 +104,10 @@ func testPolicy() tune.Policy {
 // above one worker), then a quiet phase of compute with sparse
 // synchronous calls (demand near zero). Single pumping thread, virtual
 // cycles only — the decision sequence must be identical on every run.
-func driveTrace(t *testing.T) ([]tune.Decision, tune.Stats, tune.Advice) {
+func driveTrace(t *testing.T, pol tune.Policy) ([]tune.Decision, tune.Stats, tune.Advice) {
 	t.Helper()
 	_, pool, eng, th := newTuneEnv(t)
-	c, err := tune.New(pool, eng, testPolicy())
+	c, err := tune.New(pool, eng, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +158,8 @@ func traceFingerprint(trace any) uint64 {
 // same decision sequence, epoch for epoch, on every run — verified by
 // running the drive twice on fresh platforms.
 func TestDecisionTraceDeterministic(t *testing.T) {
-	trace1, st1, adv1 := driveTrace(t)
-	trace2, st2, _ := driveTrace(t)
+	trace1, st1, adv1 := driveTrace(t, testPolicy())
+	trace2, st2, _ := driveTrace(t, testPolicy())
 
 	if len(trace1) == 0 {
 		t.Fatal("drive produced no decisions")
@@ -213,6 +214,39 @@ func TestDecisionTraceDeterministic(t *testing.T) {
 	}
 }
 
+// wantedAdvice is the advice an epoch's demand asks for: synchronous
+// below 0.5, asynchronous below 1.5, linked chains above.
+func wantedAdvice(demand float64) tune.Advice {
+	switch {
+	case demand < 0.5:
+		return tune.Advice{Mode: exitio.ModeRPCSync}
+	case demand < 1.5:
+		return tune.Advice{Mode: exitio.ModeRPCAsync}
+	default:
+		return tune.Advice{Mode: exitio.ModeRPCAsync, Chain: true}
+	}
+}
+
+// Even at Hysteresis 1 a mode switch needs two consecutive epochs
+// wanting the new advice: the first only opens the streak.
+func TestModeSwitchNeedsTwoEpochs(t *testing.T) {
+	pol := testPolicy()
+	pol.Hysteresis, pol.ShrinkHysteresis = 1, 3
+	trace, st, _ := driveTrace(t, pol)
+	if st.ModeSwitches == 0 {
+		t.Fatalf("drive switched no mode: %+v", st)
+	}
+	for i, d := range trace {
+		if !d.Switched {
+			continue
+		}
+		now := tune.Advice{Mode: d.Mode, Chain: d.Chain}
+		if i == 0 || wantedAdvice(trace[i-1].Demand) != now || wantedAdvice(d.Demand) != now {
+			t.Fatalf("epoch %d switched to %+v without two epochs wanting it: %+v", d.Epoch, now, trace[max(i-1, 0):i+1])
+		}
+	}
+}
+
 // ApplyMode carries the advice onto a live queue at a chain boundary.
 func TestApplyModeFollowsAdvice(t *testing.T) {
 	_, pool, eng, th := newTuneEnv(t)
@@ -255,36 +289,5 @@ func TestApplyModeFollowsAdvice(t *testing.T) {
 	}
 	if st := eng.Stats(); st.ModeSwitches != 1 {
 		t.Fatalf("ModeSwitches = %d, want 1", st.ModeSwitches)
-	}
-}
-
-// fakeHeap feeds fixed SUVM counters into the sample aggregation.
-type fakeHeap struct{ s suvm.StatsSnapshot }
-
-func (f *fakeHeap) Stats() suvm.StatsSnapshot { return f.s }
-
-func TestWatchedHeapDeltasInSample(t *testing.T) {
-	_, pool, eng, th := newTuneEnv(t)
-	c, err := tune.New(pool, eng, testPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh := &fakeHeap{s: suvm.StatsSnapshot{MajorFaults: 10, FaultsCoalesced: 2, FaultWaitCycles: 500}}
-	c.WatchHeap(fh)
-	c.Pump(th) // baseline records the starting heap counters
-
-	fh.s.MajorFaults += 7
-	fh.s.FaultsCoalesced += 3
-	fh.s.FaultWaitCycles += 1200
-	th.T.Charge(testPolicy().EpochCycles + 1)
-	if !c.Pump(th) {
-		t.Fatal("epoch did not fire after charging past EpochCycles")
-	}
-	last := c.Stats().Last
-	if last.MajorFaults != 7 || last.FaultsCoalesced != 3 || last.FaultWaitCycles != 1200 {
-		t.Fatalf("heap deltas in sample = %+v", last)
-	}
-	if last.ElapsedCycles < testPolicy().EpochCycles {
-		t.Fatalf("ElapsedCycles = %d, below the epoch", last.ElapsedCycles)
 	}
 }

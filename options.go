@@ -74,8 +74,8 @@ func WithAutoTune(p TunePolicy) Option {
 // as serving loops drive Ctx.Pump the controller rebalances PRM shares
 // from each heap's live demand signals — installing them through the
 // driver's SetEPCShares ioctl and ballooning the heaps to match —
-// instead of leaving every enclave chasing the static even split. Zero
-// policy fields take the fleet package defaults.
+// instead of leaving every enclave chasing the static even split. A zero
+// EpochCycles takes the default epoch.
 func WithFleetBalloon(p FleetPolicy) Option {
 	return optionFunc(func(c *Config) {
 		c.FleetBalloon = true

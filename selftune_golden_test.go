@@ -120,8 +120,8 @@ func traceFingerprint(trace any) uint64 {
 // Fixed-epoch autotuning through the public stack is deterministic: the
 // same bursty drive produces the same decision trace, resize for
 // resize, twice over. (The internal/tune variant proves this for the
-// controller alone; this one covers the runtime wiring — watched heaps,
-// Pump, queue mode application.)
+// controller alone; this one covers the runtime wiring — Pump and queue
+// mode application.)
 func TestAutoTuneRuntimeTraceDeterministic(t *testing.T) {
 	run := func() ([]TuneDecision, string) {
 		rt, err := NewRuntime(
