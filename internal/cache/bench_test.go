@@ -3,12 +3,15 @@ package cache
 import (
 	"testing"
 
+	"eleos/internal/cycles"
 	"eleos/internal/phys"
 )
 
 // Host-speed microbenchmarks of the LLC model. Cold variants stream
 // through a footprint twice the cache's size, which under LRU misses on
-// every line; warm variants touch the same lines every iteration.
+// every line; warm variants touch the same lines every iteration. The
+// CAT variant streams as an Eleos RPC worker does, confined to four
+// ways whose lines sit at the top of each set's recency order.
 
 func BenchmarkAccessHit(b *testing.B) {
 	c, th := newLLC(b)
@@ -42,23 +45,30 @@ func BenchmarkAccessRange4KWarm(b *testing.B) {
 }
 
 func BenchmarkAccessRange4KCold(b *testing.B) {
-	benchStream(b, 4096)
+	c, th := newLLC(b)
+	benchStream(b, c, th, CoSEnclave, 4096)
+}
+
+func BenchmarkAccessRange4KColdCAT(b *testing.B) {
+	c, th := newLLC(b)
+	c.EnablePartitioning(4)
+	benchStream(b, c, th, CoSRPC, 4096)
 }
 
 // BenchmarkAccessRange232KStream streams values the size of one
 // face-verification identity's descriptor set.
 func BenchmarkAccessRange232KStream(b *testing.B) {
-	benchStream(b, 232<<10)
+	c, th := newLLC(b)
+	benchStream(b, c, th, CoSEnclave, 232<<10)
 }
 
-func benchStream(b *testing.B, n int) {
-	c, th := newLLC(b)
+func benchStream(b *testing.B, c *LLC, th *cycles.Thread, cos CoS, n int) {
 	chunks := uint64(2 * c.SizeBytes() / n)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.AccessRange(th, CoSEnclave, uint64(i)%chunks*uint64(n), n, false)
+		c.AccessRange(th, cos, uint64(i)%chunks*uint64(n), n, false)
 	}
 }
 

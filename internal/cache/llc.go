@@ -15,9 +15,18 @@
 // and its exact recency order: a stack of 4-bit way numbers packed into
 // one word, most recently used first. A hit moves its way to the top of
 // the stack. A miss fills the lowest-numbered free way its class may
-// allocate into, else the allowed way nearest the bottom of the stack —
+// allocate into, else its class's way nearest the bottom of the stack —
 // the same victim as stamping every touch with a per-set sequence
 // number and evicting the smallest stamp, without a scan of the stamps.
+//
+// Like real CAT, which accepts only contiguous capacity bitmasks, each
+// class allocates into a contiguous run of ways [lo, hi]. That makes
+// the victim search one SWAR pass rather than a walk up the stack: the
+// even and odd nibbles of the recency word are spread into bytes, each
+// byte is compared against lo and hi at once with a guard bit, and the
+// highest flagged position — the least recent way of the run — is a
+// single LeadingZeros64. An RPC class confined to a few ways whose
+// lines sit near the top of the stack costs what any other miss costs.
 //
 // Every call probes its lines one at a time, in address order, but
 // synchronizes and publishes per call: it takes each shard lock once
@@ -49,7 +58,8 @@ type CoS uint8
 
 // Predefined classes of service. With partitioning disabled all classes
 // may allocate into every way; EnablePartitioning restricts allocation
-// per class while lookups always search all ways, as real CAT does.
+// per class to a contiguous run of ways, while lookups always search all
+// ways, as real CAT does.
 const (
 	CoSDefault CoS = iota // untrusted application code
 	CoSEnclave            // enclave threads
@@ -131,26 +141,65 @@ func (s *set) promote(pos uint, way int) {
 	s.order = s.order&^(below<<4|0xF) | (s.order&below)<<4 | uint64(way)
 }
 
-// fill installs tag after a miss in a way mask allows: the
-// lowest-numbered invalid one, else the least recently used. It reports
-// whether that evicted a valid line. When mask allows no way, the line
-// is not installed.
-func (s *set) fill(tag uint32, mask uint64, ways int) (evicted bool) {
-	if free := mask &^ s.valid; free != 0 {
+// fill installs tag after a miss in a way of run: the lowest-numbered
+// invalid one, else the least recently used. It reports whether that
+// evicted a valid line.
+func (s *set) fill(tag uint32, run wayRun) (evicted bool) {
+	if free := run.mask &^ s.valid; free != 0 {
 		way := bits.TrailingZeros64(free)
 		s.tags[way] = tag
 		s.valid |= 1 << uint(way)
 		s.touch(way)
 		return false
 	}
-	for pos := uint(4 * (ways - 1)); pos < 64; pos -= 4 {
-		if way := int(s.order>>pos) & 0xF; mask>>uint(way)&1 != 0 {
-			s.tags[way] = tag
-			s.promote(pos, way)
-			return true
-		}
+	pos := run.lru(s.order)
+	way := int(s.order>>pos) & 0xF
+	s.tags[way] = tag
+	s.promote(pos, way)
+	return true
+}
+
+// byteLow and byteHigh select the low nibble and the top bit of every
+// byte; byteOnes broadcasts a byte value to all eight.
+const (
+	byteLow  = 0x0F0F0F0F0F0F0F0F
+	byteHigh = 0x8080808080808080
+	byteOnes = 0x0101010101010101
+)
+
+// wayRun is the contiguous run of ways [lo, hi] a class of service may
+// allocate into, in the forms fill uses.
+type wayRun struct {
+	mask uint64 // bit w set => way w in the run
+	lo   uint64 // lo in every byte
+	hi   uint64 // hi|0x80 in every byte
+}
+
+func newWayRun(lo, hi int) wayRun {
+	return wayRun{
+		mask: uint64(2)<<uint(hi) - uint64(1)<<uint(lo),
+		lo:   uint64(lo) * byteOnes,
+		hi:   uint64(hi)*byteOnes | byteHigh,
 	}
-	return false
+}
+
+// lru returns four times the position in the recency order of the
+// run's least recently used way: the highest position whose way is in
+// the run. Every way of the run is somewhere in order, and positions at
+// or beyond the cache's associativity hold way numbers above any run,
+// so such a position always exists.
+//
+// Byte k of even holds the way at position 2k, and of odd the way at
+// 2k+1. With the guard bit 0x80 set, (b|0x80)-lo keeps it iff b >= lo,
+// and (hi|0x80)-b keeps it iff b <= hi; no byte borrows from the next.
+// The even flags shifted down by 4 interleave with the odd ones in
+// position order, each flag 3 bits above its nibble's shift.
+func (r wayRun) lru(order uint64) uint {
+	even := order & byteLow
+	odd := (order >> 4) & byteLow
+	inEven := ((even | byteHigh) - r.lo) & (r.hi - even) & byteHigh
+	inOdd := ((odd | byteHigh) - r.lo) & (r.hi - odd) & byteHigh
+	return 60 - uint(bits.LeadingZeros64(inOdd|inEven>>4))
 }
 
 // LLC is the shared last-level cache model. It is safe for concurrent
@@ -161,7 +210,7 @@ type LLC struct {
 	numSets    int
 	shardShift uint // log2 of the sets per shard
 	shards     [shardCount]shard
-	masks      [numCoS]atomic.Uint64 // bit i set => way i allocatable
+	runs       [numCoS]atomic.Uint32 // class's way run: lo | hi<<8
 	stats      atomicStats
 	epcLimit   uint64 // physical addresses below this are EPC
 	epcLineEnd uint64 // line addresses below this start inside the EPC
@@ -217,27 +266,35 @@ func New(m *cycles.Model, cfg Config) *LLC {
 }
 
 // EnablePartitioning applies the Eleos CAT split: the RPC class of
-// service may allocate only into rpcWays ways, and the enclave class
-// into the remaining ways. The default class keeps all ways. Each
-// access reads its class's mask once, so a call racing with a change
-// of partitioning uses either the old or the new mask throughout.
-// Changes of partitioning must not race one another: each stores the
-// class masks one at a time.
+// service may allocate only into ways [0, rpcWays), and the enclave
+// class into the remaining ways. The default class keeps all ways. Each
+// access reads its class's run once, so a call racing with a change of
+// partitioning uses either the old or the new run throughout. Changes
+// of partitioning must not race one another: each stores the class
+// runs one at a time.
 func (c *LLC) EnablePartitioning(rpcWays int) {
 	if rpcWays <= 0 || rpcWays >= c.ways {
 		panic(fmt.Sprintf("cache: rpcWays %d out of range (1..%d)", rpcWays, c.ways-1))
 	}
-	rpcMask := (uint64(1) << uint(rpcWays)) - 1
-	c.masks[CoSRPC].Store(rpcMask)
-	c.masks[CoSEnclave].Store(((uint64(1) << uint(c.ways)) - 1) &^ rpcMask)
+	c.setRun(CoSRPC, 0, rpcWays-1)
+	c.setRun(CoSEnclave, rpcWays, c.ways-1)
 }
 
-// DisablePartitioning restores the default all-ways masks.
+// DisablePartitioning lets every class allocate into every way again.
 func (c *LLC) DisablePartitioning() {
-	allWays := (uint64(1) << uint(c.ways)) - 1
-	for i := range c.masks {
-		c.masks[i].Store(allWays)
+	for cos := range CoS(numCoS) {
+		c.setRun(cos, 0, c.ways-1)
 	}
+}
+
+func (c *LLC) setRun(cos CoS, lo, hi int) {
+	c.runs[cos].Store(uint32(lo) | uint32(hi)<<8)
+}
+
+// run loads the way run cos may allocate into.
+func (c *LLC) run(cos CoS) wayRun {
+	p := c.runs[cos].Load()
+	return newWayRun(int(p&0xFF), int(p>>8))
 }
 
 // tally is the outcome of one probe call.
@@ -253,7 +310,7 @@ func (t *tally) add(u tally) {
 }
 
 // probe looks up the lines [first, last] in address order, installing
-// each miss within mask, and publishes the outcomes to the aggregate
+// each miss within run, and publishes the outcomes to the aggregate
 // counters once. A missed line counts as an EPC miss when its address
 // is below epcEnd. It performs no cycle charging; Access, AccessRange
 // and InstallRange charge from the returned tally. It panics if a line
@@ -262,14 +319,14 @@ func (t *tally) add(u tally) {
 // Consecutive lines map to consecutive sets, so the range splits into
 // runs of sets owned by one shard; each run is probed under a single
 // acquisition of that shard's lock.
-func (c *LLC) probe(mask, first, last, epcEnd uint64) tally {
+func (c *LLC) probe(run wayRun, first, last, epcEnd uint64) tally {
 	if last >= math.MaxUint32 {
 		panic("cache: line address beyond the 32-bit tag range")
 	}
 	var t tally
 	// Set and shard counts are powers of two: index with masks and
 	// shifts rather than divisions.
-	setMask, shift, ways := uint64(c.numSets-1), c.shardShift, c.ways
+	setMask, shift := uint64(c.numSets-1), c.shardShift
 	perShard := uint64(1) << shift
 	for la := first; la <= last; {
 		setIdx := la & setMask
@@ -277,7 +334,7 @@ func (c *LLC) probe(mask, first, last, epcEnd uint64) tally {
 		local := setIdx & (perShard - 1)
 		end := la + min(perShard-local, last-la+1)
 		sh.mu.Lock()
-		t.add(probeSets(sh.sets[local:local+end-la], mask, la, epcEnd, ways))
+		t.add(probeSets(sh.sets[local:local+end-la], run, la, epcEnd))
 		sh.mu.Unlock()
 		la = end
 	}
@@ -299,7 +356,7 @@ func (c *LLC) probe(mask, first, last, epcEnd uint64) tally {
 // probeSets probes the consecutive lines from la on, one in each of
 // sets, under the lock of the shard that owns sets. It is kept out of
 // probe so that its loop has the registers to itself.
-func probeSets(sets []set, mask, la, epcEnd uint64, ways int) tally {
+func probeSets(sets []set, run wayRun, la, epcEnd uint64) tally {
 	var t tally
 	n := uint64(len(sets))
 	epcLines := min(max(epcEnd, la), la+n) - la // the first epcLines lines are EPC
@@ -321,7 +378,7 @@ func probeSets(sets []set, mask, la, epcEnd uint64, ways int) tally {
 		if uint64(i) < epcLines {
 			t.epcMisses++
 		}
-		if st.fill(tag, mask, ways) {
+		if st.fill(tag, run) {
 			t.evictions++
 		}
 	}
@@ -330,7 +387,7 @@ func probeSets(sets []set, mask, la, epcEnd uint64, ways int) tally {
 }
 
 // lookup returns the way holding tag, or -1. It compares every tag slot
-// regardless of the class's mask, as real CAT searches every way. A
+// regardless of the class's run, as real CAT searches every way. A
 // miss compares all maxWays slots, so the comparison is unrolled: a
 // loop would spend more on its counter than on the compares.
 func (s *set) lookup(tag uint32) int {
@@ -384,7 +441,7 @@ func (c *LLC) Access(t *cycles.Thread, cos CoS, paddr uint64, write bool) bool {
 	if epc {
 		epcEnd = la + 1
 	}
-	if c.probe(c.masks[cos].Load(), la, la, epcEnd).hits != 0 {
+	if c.probe(c.run(cos), la, la, epcEnd).hits != 0 {
 		t.Charge(c.model.LLCHit)
 		return true
 	}
@@ -415,7 +472,7 @@ func (c *LLC) AccessRange(t *cycles.Thread, cos CoS, paddr uint64, n int, write 
 		mlp = 1
 	}
 	mlp = min(mlp, lines)
-	r := c.probe(c.masks[cos].Load(), first, last, c.epcLineEnd)
+	r := c.probe(c.run(cos), first, last, c.epcLineEnd)
 	missCost := c.model.EPCMissCycles(write, paddr < c.epcLimit) / mlp
 	t.Charge(lines*c.model.L1Hit + r.hits*c.model.LLCHit + r.misses*missCost)
 }
@@ -433,7 +490,7 @@ func (c *LLC) InstallRange(t *cycles.Thread, cos CoS, paddr uint64, n int) {
 	}
 	first := paddr / LineSize
 	last := (paddr + uint64(n) - 1) / LineSize
-	c.probe(c.masks[cos].Load(), first, last, c.epcLineEnd)
+	c.probe(c.run(cos), first, last, c.epcLineEnd)
 	t.Charge((last - first + 1) * (c.model.L1Hit + c.model.LLCHit))
 }
 

@@ -114,6 +114,77 @@ func TestPartitioningBoundsRPCOccupancy(t *testing.T) {
 	}
 }
 
+// TestCATVictimDeepInStack fills a set with twelve enclave lines and
+// then four RPC lines, so the RPC ways sit at the top of the recency
+// order above every enclave way. A miss of either class must still
+// evict that class's least recently used way.
+func TestCATVictimDeepInStack(t *testing.T) {
+	c, th := newLLC(t)
+	c.EnablePartitioning(4)
+	set := uint64(3)
+	line := func(i int) uint64 {
+		return phys.HostBase + (set+uint64(i)*uint64(c.Sets()))*LineSize
+	}
+	enc := func(i int) uint64 { return line(i) }
+	rpc := func(i int) uint64 { return line(100 + i) }
+	for i := 0; i < 12; i++ {
+		c.Access(th, CoSEnclave, enc(i), false)
+	}
+	c.Access(th, CoSEnclave, enc(0), false) // enc(1) is now the least recent
+	for i := 0; i < 4; i++ {
+		c.Access(th, CoSRPC, rpc(i), false)
+	}
+	for _, i := range []int{2, 0, 3, 1} {
+		c.Access(th, CoSRPC, rpc(i), false) // rpc(2) is now the least recent
+	}
+	if st := c.Stats(); st.Evictions != 0 {
+		t.Fatalf("filling the set evicted: %+v", st)
+	}
+
+	c.Access(th, CoSRPC, rpc(4), false)
+	c.Access(th, CoSEnclave, enc(12), false)
+	if st := c.Stats(); st.Evictions != 2 {
+		t.Fatalf("two misses in a full set evicted %d lines", st.Evictions)
+	}
+	for _, a := range []uint64{enc(0), enc(2), enc(11), enc(12), rpc(0), rpc(1), rpc(3), rpc(4)} {
+		if !c.Access(th, CoSDefault, a, false) {
+			t.Fatalf("line %#x was evicted", a)
+		}
+	}
+	if c.Access(th, CoSRPC, rpc(2), false) {
+		t.Fatal("the least recent RPC line survived an RPC miss")
+	}
+	if c.Access(th, CoSEnclave, enc(1), false) {
+		t.Fatal("the least recent enclave line survived an enclave miss")
+	}
+}
+
+// TestWayRunLRUMatchesWalk checks the SWAR victim search against a walk
+// up the recency stack, for every run of every associativity over
+// random recency orders.
+func TestWayRunLRUMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for ways := 1; ways <= maxWays; ways++ {
+		for trial := 0; trial < 50; trial++ {
+			order := uint64(initialOrder)
+			for p, w := range rng.Perm(ways) {
+				order = order&^(0xF<<(4*p)) | uint64(w)<<(4*p)
+			}
+			for lo := 0; lo < ways; lo++ {
+				for hi := lo; hi < ways; hi++ {
+					want := uint(4 * (ways - 1))
+					for w := int(order>>want) & 0xF; w < lo || w > hi; w = int(order>>want) & 0xF {
+						want -= 4
+					}
+					if got := newWayRun(lo, hi).lru(order); got != want {
+						t.Fatalf("order %#x run [%d, %d]: lru %d, walk %d", order, lo, hi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAccessRangeAmortizesMisses(t *testing.T) {
 	c, th := newLLC(t)
 	m := th.Model()

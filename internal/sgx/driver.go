@@ -44,6 +44,8 @@ type Driver struct {
 	enclaves   map[int]*Enclave
 	evictBatch int
 	stats      DriverStats
+	// eldu holds the sealed blob of the page an ELDU is loading.
+	eldu [phys.PageSize + seal.Overhead]byte
 
 	// shares is the pluggable PRM share table (SetEPCShares): enclave id
 	// to share in bytes. Empty means the legacy policy — usable PRM split
@@ -291,7 +293,7 @@ func (d *Driver) fault(th *Thread, e *Enclave, idx uint64, write bool) {
 		// decrypt it into the frame. The crypto cost is part of
 		// HWFaultDriver (the instruction's latency includes it), so the
 		// sealer is invoked with a nil thread; the work is still real.
-		ct := make([]byte, phys.PageSize+seal.Overhead)
+		ct := d.eldu[:]
 		d.plat.Host.ReadAt(p.blobAddr, ct[:phys.PageSize])
 		copy(ct[phys.PageSize:], p.tag[:])
 		pt, err := e.sealer.Open(nil, data[:0], ct, e.pageAAD(idx), p.nonce)

@@ -4,6 +4,8 @@
 // the TLB (so pointer-chasing workloads pay page walks again after each
 // system call, Fig 2b), and hardware EPC page eviction requires TLB
 // shootdown IPIs to every core that may cache the mapping (Table 2).
+// Exits are frequent, so a flush bumps an epoch instead of sweeping the
+// entries: its host cost does not grow with the TLB's size.
 //
 // Cycle-charged and checked by eleoslint for determinism.
 //
@@ -19,20 +21,39 @@ import (
 // round-robin replacement, sized like a Skylake STLB. A TLB is owned by
 // one goroutine; Shootdown presence checks from the driver must be
 // externally synchronized (the sgx package serializes them).
+//
+// Flushes cost O(1): the TLB keeps two flush epochs, one for host
+// translations that every full flush bumps and one for enclave (EPC)
+// translations that every full or EPC flush bumps. An entry records the
+// epoch of its kind when it is inserted and is live only while that
+// epoch is current, so a flush invalidates every entry of its kind by
+// bumping a counter rather than sweeping the array. Round-robin
+// replacement ignores liveness, so the victims are the same as with a
+// sweep.
 type TLB struct {
-	model *cycles.Model
-	sets  [][]entry
-	rr    []uint8 // per-set round-robin pointer
-	mask  uint64
+	model   *cycles.Model
+	entries []entry // set i is entries[i*ways : (i+1)*ways]
+	rr      []uint8 // per-set round-robin pointer
+	ways    int
+	mask    uint64
+
+	// stamp is the current stamp of each kind of translation, index 0
+	// host and 1 EPC: the kind's flush epoch times two plus the kind.
+	// Flush bumps both epochs, FlushEPC only the EPC one. At two per
+	// flush, a uint64 does not wrap.
+	stamp [2]uint64
 
 	misses  uint64
 	flushes uint64
 }
 
+// An entry holds the stamp of its kind current when it was inserted and
+// is live while that stamp is still current: while stamp equals the
+// TLB's stamp[stamp&1]. Epochs start at 1, so the zero entry and an
+// invalidated one (stamp 0) are never live.
 type entry struct {
 	vpage uint64
-	valid bool
-	epc   bool
+	stamp uint64
 }
 
 // Config describes the TLB geometry.
@@ -60,38 +81,52 @@ func New(m *cycles.Model, cfg Config) *TLB {
 		}
 		numSets = p
 	}
-	t := &TLB{
-		model: m,
-		sets:  make([][]entry, numSets),
-		rr:    make([]uint8, numSets),
-		mask:  uint64(numSets - 1),
+	return &TLB{
+		model:   m,
+		entries: make([]entry, numSets*cfg.Ways),
+		rr:      make([]uint8, numSets),
+		ways:    cfg.Ways,
+		mask:    uint64(numSets - 1),
+		stamp:   [2]uint64{2, 3},
 	}
-	for i := range t.sets {
-		t.sets[i] = make([]entry, cfg.Ways)
-	}
-	return t
+}
+
+// set returns the ways of vpage's set.
+func (t *TLB) set(vpage uint64) []entry {
+	i := int(vpage&t.mask) * t.ways
+	return t.entries[i : i+t.ways]
+}
+
+// live reports whether e holds vpage and has not been flushed or
+// invalidated since it was inserted.
+func (t *TLB) live(e *entry, vpage uint64) bool {
+	return e.vpage == vpage && e.stamp == t.stamp[e.stamp&1]
 }
 
 // Access simulates the translation of vpage (a virtual page number, not
 // a byte address) and charges th the page-walk cost on a miss. epc marks
 // translations whose page walks touch encrypted memory, which cost more.
+//
+//eleos:hotpath budget=0
 func (t *TLB) Access(th *cycles.Thread, vpage uint64, epc bool) (hit bool) {
-	s := t.sets[vpage&t.mask]
+	s := t.set(vpage)
 	for i := range s {
-		if s[i].valid && s[i].vpage == vpage {
+		if t.live(&s[i], vpage) {
 			return true
 		}
 	}
 	t.misses++
+	kind := 0
 	if epc {
 		th.Charge(t.model.TLBMissEPC)
+		kind = 1
 	} else {
 		th.Charge(t.model.TLBMiss)
 	}
 	idx := vpage & t.mask
 	way := t.rr[idx]
 	t.rr[idx] = uint8((int(way) + 1) % len(s))
-	s[way] = entry{vpage: vpage, valid: true, epc: epc}
+	s[way] = entry{vpage: vpage, stamp: t.stamp[kind]}
 	return false
 }
 
@@ -99,9 +134,9 @@ func (t *TLB) Access(th *cycles.Thread, vpage uint64, epc bool) (hit bool) {
 // any cost. The SGX driver uses it to decide whether an eviction needs a
 // shootdown IPI to this thread's core.
 func (t *TLB) Contains(vpage uint64) bool {
-	s := t.sets[vpage&t.mask]
+	s := t.set(vpage)
 	for i := range s {
-		if s[i].valid && s[i].vpage == vpage {
+		if t.live(&s[i], vpage) {
 			return true
 		}
 	}
@@ -111,10 +146,10 @@ func (t *TLB) Contains(vpage uint64) bool {
 // Invalidate drops a single translation if present, as done by the
 // receiver of a shootdown IPI.
 func (t *TLB) Invalidate(vpage uint64) {
-	s := t.sets[vpage&t.mask]
+	s := t.set(vpage)
 	for i := range s {
-		if s[i].valid && s[i].vpage == vpage {
-			s[i].valid = false
+		if t.live(&s[i], vpage) {
+			s[i].stamp = 0
 		}
 	}
 }
@@ -123,11 +158,8 @@ func (t *TLB) Invalidate(vpage uint64) {
 // AEX both flush enclave translations).
 func (t *TLB) Flush() {
 	t.flushes++
-	for _, s := range t.sets {
-		for i := range s {
-			s[i].valid = false
-		}
-	}
+	t.stamp[0] += 2
+	t.stamp[1] += 2
 }
 
 // FlushEPC invalidates only the enclave translations, modelling the
@@ -135,13 +167,7 @@ func (t *TLB) Flush() {
 // while untrusted mappings may survive.
 func (t *TLB) FlushEPC() {
 	t.flushes++
-	for _, s := range t.sets {
-		for i := range s {
-			if s[i].epc {
-				s[i].valid = false
-			}
-		}
-	}
+	t.stamp[1] += 2
 }
 
 // Misses returns the page-walk count so far.

@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"eleos/internal/cycles"
@@ -93,5 +95,166 @@ func TestCapacityEviction(t *testing.T) {
 	}
 	if tl.Misses() == m0 {
 		t.Fatal("no capacity misses on an 8192-page working set")
+	}
+}
+
+// refTLB is the sweep-flush TLB the epoch-flush TLB must reproduce
+// exactly: a valid bit per entry, cleared entry by entry on every flush.
+type refTLB struct {
+	model   *cycles.Model
+	sets    [][]refEntry
+	rr      []uint8
+	mask    uint64
+	misses  uint64
+	flushes uint64
+}
+
+type refEntry struct {
+	vpage uint64
+	valid bool
+	epc   bool
+}
+
+func newRefTLB(m *cycles.Model, sets, ways int) *refTLB {
+	r := &refTLB{model: m, sets: make([][]refEntry, sets), rr: make([]uint8, sets), mask: uint64(sets - 1)}
+	for i := range r.sets {
+		r.sets[i] = make([]refEntry, ways)
+	}
+	return r
+}
+
+func (r *refTLB) access(th *cycles.Thread, vpage uint64, epc bool) bool {
+	if r.contains(vpage) {
+		return true
+	}
+	r.misses++
+	if epc {
+		th.Charge(r.model.TLBMissEPC)
+	} else {
+		th.Charge(r.model.TLBMiss)
+	}
+	idx := vpage & r.mask
+	s := r.sets[idx]
+	way := r.rr[idx]
+	r.rr[idx] = uint8((int(way) + 1) % len(s))
+	s[way] = refEntry{vpage: vpage, valid: true, epc: epc}
+	return false
+}
+
+func (r *refTLB) contains(vpage uint64) bool {
+	for _, e := range r.sets[vpage&r.mask] {
+		if e.valid && e.vpage == vpage {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refTLB) invalidate(vpage uint64) {
+	s := r.sets[vpage&r.mask]
+	for i := range s {
+		if s[i].valid && s[i].vpage == vpage {
+			s[i].valid = false
+		}
+	}
+}
+
+func (r *refTLB) flush(epcOnly bool) {
+	r.flushes++
+	for _, s := range r.sets {
+		for i := range s {
+			if s[i].epc || !epcOnly {
+				s[i].valid = false
+			}
+		}
+	}
+}
+
+// TestMatchesReferenceModel drives the TLB and the sweep-flush
+// reference with the same seeded random operation sequences and
+// requires identical hits, Contains answers, cycles charged and
+// counters after every operation. Pages are drawn from twice the entry
+// count, so sets overflow.
+func TestMatchesReferenceModel(t *testing.T) {
+	geometries := []Config{{}, {Entries: 64, Ways: 4}, {Entries: 100, Ways: 3}, {Entries: 8, Ways: 8}}
+	for _, cfg := range geometries {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("entries=%d/ways=%d/seed=%d", cfg.Entries, cfg.Ways, seed)
+			t.Run(name, func(t *testing.T) { checkAgainstReference(t, cfg, seed) })
+		}
+	}
+}
+
+func checkAgainstReference(t *testing.T, cfg Config, seed int64) {
+	m := cycles.DefaultModel()
+	tl := New(m, cfg)
+	ref := newRefTLB(m, len(tl.rr), tl.ways)
+	tt, rt := cycles.NewThread(1, m), cycles.NewThread(2, m)
+	rng := rand.New(rand.NewSource(seed))
+	pages := uint64(2 * len(tl.entries))
+	var hits, flushedHits int
+	for op := 0; op < 20000; op++ {
+		vpage := rng.Uint64() % pages
+		epc := rng.Intn(2) == 0
+		var desc string
+		switch p := rng.Intn(100); {
+		case p < 70:
+			desc = fmt.Sprintf("Access(%d, %v)", vpage, epc)
+			got, want := tl.Access(tt, vpage, epc), ref.access(rt, vpage, epc)
+			if got != want {
+				t.Fatalf("op %d: %s hit=%v, reference %v", op, desc, got, want)
+			}
+			if got {
+				hits++
+				if ref.flushes != 0 {
+					flushedHits++
+				}
+			}
+		case p < 85:
+			desc = fmt.Sprintf("Contains(%d)", vpage)
+			if got, want := tl.Contains(vpage), ref.contains(vpage); got != want {
+				t.Fatalf("op %d: %s = %v, reference %v", op, desc, got, want)
+			}
+		case p < 93:
+			desc = fmt.Sprintf("Invalidate(%d)", vpage)
+			tl.Invalidate(vpage)
+			ref.invalidate(vpage)
+		case p < 97:
+			desc = "FlushEPC()"
+			tl.FlushEPC()
+			ref.flush(true)
+		default:
+			desc = "Flush()"
+			tl.Flush()
+			ref.flush(false)
+		}
+		if tt.Cycles() != rt.Cycles() {
+			t.Fatalf("op %d: %s left %d cycles charged, reference %d", op, desc, tt.Cycles(), rt.Cycles())
+		}
+		if tl.Misses() != ref.misses || tl.Flushes() != ref.flushes {
+			t.Fatalf("op %d: %s left misses %d flushes %d, reference %d and %d",
+				op, desc, tl.Misses(), tl.Flushes(), ref.misses, ref.flushes)
+		}
+	}
+	if hits == 0 || flushedHits == 0 || ref.misses == 0 {
+		t.Fatalf("sequence too narrow: %d hits (%d after a flush), %d misses", hits, flushedHits, ref.misses)
+	}
+}
+
+// TestAccessZeroAlloc pins the //eleos:hotpath budget=0 contract of
+// Access dynamically, on hits and misses.
+func TestAccessZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	tl, th := newTLB(t)
+	var vpage uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		tl.Access(th, vpage, vpage%2 == 0)
+		tl.Access(th, vpage, vpage%2 == 0)
+		vpage++
+	})
+	if allocs != 0 {
+		t.Fatalf("TLB Access allocates %.1f per op, budget is 0", allocs)
 	}
 }
