@@ -9,7 +9,7 @@ import (
 // simulated costs incurred by code running "on" that thread are charged
 // here. The counter is updated with atomics so that monitors (e.g. the
 // benchmark harness) may read it concurrently, but a Thread is logically
-// owned by a single goroutine.
+// used by one goroutine at a time, like its sgx.Thread.
 type Thread struct {
 	id     int
 	model  *Model

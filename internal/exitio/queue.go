@@ -340,16 +340,18 @@ func (q *Queue) collect(th *sgx.Thread) {
 	}
 }
 
-// waitHead blocks — without spinning — until the oldest pending chain
-// completes, then retires it. The wake tokens are lossy, so the head
-// future is re-checked after every token; the completion callback
-// publishes the done flag before poking the channel, so a blocked
-// reaper is always woken.
+// waitHead waits — without spinning — until the oldest pending chain
+// completes, then retires it. If the chain is still queued and its
+// worker idle, the owner runs it itself (Future.Help); otherwise it
+// blocks for a wake token. The tokens are lossy, so the head future is
+// re-checked after every token; the completion callback publishes the
+// done flag before poking the channel, so a blocked reaper is always
+// woken.
 //
 //eleos:hotpath budget=0
 func (q *Queue) waitHead(th *sgx.Thread) {
 	c := q.pending[q.pendHead]
-	for !c.fut.Done() {
+	for !c.fut.Help() {
 		<-q.wake
 	}
 	q.retireHead(th)

@@ -28,6 +28,18 @@ func (f *Future) Done() bool {
 	return f.waited || f.req.done.Load() != 0
 }
 
+// Help runs the call on its worker's thread if it is still queued and
+// no one else is executing on that worker, so the waiter supplies the
+// host CPU instead of handing off to the worker goroutine (see
+// Pool.help). It charges the caller nothing — Wait still settles the
+// accounting — and reports whether the call is done. A false return
+// means someone else is running the call or the work ahead of it.
+//
+//eleos:hotpath budget=0
+func (f *Future) Help() bool {
+	return f.waited || f.pool.help(f.req)
+}
+
 // Wait blocks until the call completes and settles the caller's
 // accounting: cycles the caller burned since submission overlap with
 // the worker's execution for free, and only the residual — if any — is
@@ -39,7 +51,7 @@ func (f *Future) Wait(caller *sgx.Thread) {
 		return
 	}
 	req := f.req
-	for req.done.Load() == 0 {
+	for !f.pool.help(req) {
 		spinWait()
 	}
 	residual := caller.ChargeResidual(req.submitStamp, req.workCycles)

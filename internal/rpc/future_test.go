@@ -8,7 +8,7 @@ import (
 	"eleos/internal/sgx"
 )
 
-func newAsyncEnv(t *testing.T, workers int) (*sgx.Platform, *sgx.Thread, *Pool) {
+func newAsyncEnv(t testing.TB, workers int) (*sgx.Platform, *sgx.Thread, *Pool) {
 	t.Helper()
 	plat := newPlat(t)
 	encl, err := plat.NewEnclave()

@@ -27,6 +27,11 @@ type request struct {
 	submitStamp uint64 // caller's cycle clock just after the enqueue charge
 	workCycles  uint64
 	done        atomic.Uint32
+	// w and ticket name the ring slot the request was published at:
+	// the worker whose ring holds it and its ring position. Written and
+	// read by the submitter only, for help.
+	w      *worker
+	ticket uint64
 	// notify, when set, runs on the worker thread right after done is
 	// published (CallAsyncNotifyInto). The worker captures it before the
 	// done store: once done is visible the submitter may Wait and
@@ -46,6 +51,9 @@ type Stats struct {
 	Batches      uint64
 	BatchedCalls uint64
 	WorkerOps    uint64
+	// Helped counts requests a waiting submitter ran itself on the
+	// worker's thread (WorkerOps includes them).
+	Helped uint64
 	// Steals counts requests a worker took from a sibling's ring.
 	Steals uint64
 	// Sleeps and Wakes trace the backoff ladder: how often a worker
@@ -95,7 +103,14 @@ const (
 // retire channel a live shrink closes to ask the worker to drain its
 // own ring and exit.
 type worker struct {
-	th       *sgx.Thread
+	th *sgx.Thread
+	// run is held by whichever goroutine is executing on th: the
+	// worker's own loop, or a waiting submitter running its call (see
+	// Pool.help). Calls run under it and reach fsim.FS.mu,
+	// sgx.Driver.mu and the host arena.
+	//
+	//eleos:lockorder 95
+	run      sync.Mutex
 	ring     *ring
 	wake     chan struct{}
 	retire   chan struct{}
@@ -137,6 +152,7 @@ type Pool struct {
 	batches      atomic.Uint64
 	batchedCalls atomic.Uint64
 	workerOps    atomic.Uint64
+	helped       atomic.Uint64
 	steals       atomic.Uint64
 	sleeps       atomic.Uint64
 	wakes        atomic.Uint64
@@ -294,6 +310,7 @@ func (p *Pool) Stats() Stats {
 		Batches:           p.batches.Load(),
 		BatchedCalls:      p.batchedCalls.Load(),
 		WorkerOps:         p.workerOps.Load(),
+		Helped:            p.helped.Load(),
 		Steals:            p.steals.Load(),
 		Sleeps:            p.sleeps.Load(),
 		Wakes:             p.wakes.Load(),
@@ -346,7 +363,8 @@ func (p *Pool) submit(req *request, caller *sgx.Thread) error {
 	ws := p.workers()
 	s := shardOf(caller, len(ws))
 	p.bumpPeak(p.depth.Add(1))
-	ws[s].ring.enqueue(req)
+	req.w = ws[s]
+	req.ticket = ws[s].ring.enqueue(req)
 	p.inflight.Add(-1)
 	p.notify(ws, s)
 	return nil
@@ -446,12 +464,22 @@ func (p *Pool) workerLoop(w *worker, stopC chan struct{}) {
 			return
 		default:
 		}
-		req, stolen := p.dequeueFor(w)
-		if req == nil {
-			if p.draining.Load() {
+		var req *request
+		stolen := false
+		// A failed TryLock means a waiting submitter is running calls
+		// on this worker's thread: an idle poll.
+		if w.run.TryLock() {
+			req, stolen = p.dequeueFor(w)
+			if req != nil {
+				p.execute(w, ctx, req)
+			}
+			w.run.Unlock()
+			if req == nil && p.draining.Load() {
 				// Every ring was empty after the drain flag: done.
 				return
 			}
+		}
+		if req == nil {
 			idle++
 			switch {
 			case idle <= spinPolls:
@@ -468,8 +496,41 @@ func (p *Pool) workerLoop(w *worker, stopC chan struct{}) {
 		if stolen {
 			p.steals.Add(1)
 		}
-		p.execute(w, ctx, req)
 	}
+}
+
+// help lets a submitter that would otherwise wait for req run it
+// itself. If no one is executing on req's worker, it takes the
+// worker's run lock and executes that ring's requests in FIFO order up
+// to and including req, on the worker's thread: the same order, clock,
+// TLB and cache class the worker would have used, so virtual time is
+// unchanged and only the host goroutine supplying the CPU differs. It
+// never runs work queued behind req (that would make one waiter block
+// on another caller's call) and never touches a sibling's ring:
+// stealing stays the workers' job. Reports whether req is done.
+//
+//eleos:untrusted
+//eleos:hotpath budget=0
+func (p *Pool) help(req *request) bool {
+	if req.done.Load() != 0 {
+		return true
+	}
+	w := req.w
+	if !w.run.TryLock() {
+		return false
+	}
+	ctx := w.th.HostContext()
+	for req.done.Load() == 0 {
+		r := w.ring.dequeueThrough(req.ticket)
+		if r == nil {
+			break // a stealing sibling took req; it settles there
+		}
+		p.depth.Add(-1)
+		p.helped.Add(1)
+		p.execute(w, ctx, r)
+	}
+	w.run.Unlock()
+	return req.done.Load() != 0
 }
 
 // execute runs one request on the worker thread and publishes its
@@ -498,6 +559,8 @@ func (p *Pool) execute(w *worker, ctx *sgx.HostCtx, req *request) {
 //eleos:untrusted
 //eleos:hotpath budget=0
 func (p *Pool) drainOwn(w *worker, ctx *sgx.HostCtx) {
+	w.run.Lock()
+	defer w.run.Unlock()
 	for {
 		req := w.ring.dequeue()
 		if req == nil {
@@ -527,7 +590,12 @@ func (p *Pool) sleep(w *worker, stopC chan struct{}) {
 	select {
 	case <-w.wake:
 		p.wakes.Add(1)
+		// Under the run lock: a submitter running its call on w.th
+		// measures the call as a clock delta, and a wake charged inside
+		// that window would bill the caller for it.
+		w.run.Lock()
 		w.th.T.Charge(p.plat.Model.RPCWake)
+		w.run.Unlock()
 	case <-stopC:
 	case <-w.retire:
 	}
@@ -553,7 +621,7 @@ func (p *Pool) Call(caller *sgx.Thread, fn func(*sgx.HostCtx)) error {
 		p.putReq(req)
 		return err
 	}
-	for req.done.Load() == 0 {
+	for !p.help(req) {
 		spinWait()
 	}
 	// The worker's processing time is observed as synchronous latency,
@@ -587,7 +655,8 @@ func (p *Pool) CallAsync(caller *sgx.Thread, fn func(*sgx.HostCtx)) (*Future, er
 // chain), with a completion hook: notify (if non-nil) runs on the
 // worker thread immediately after the request's completion flag is
 // published, so a reaper can block on a channel instead of spinning per
-// future. notify executes on the untrusted worker — it must be cheap,
+// future. notify executes on the untrusted worker, under its run lock
+// and possibly on a helping submitter's goroutine — it must be cheap,
 // non-blocking (a counter bump, a non-blocking channel send) and must
 // not touch enclave state. It is a host-side signal only: accounting
 // still settles at Future.Wait. *fut is overwritten unconditionally; it
@@ -647,7 +716,8 @@ func (p *Pool) CallBatch(caller *sgx.Thread, fns []func(*sgx.HostCtx)) error {
 		req := p.getReq(fn, stamp)
 		reqs[i] = req
 		p.bumpPeak(p.depth.Add(1))
-		ws[s].ring.enqueue(req)
+		req.w = ws[s]
+		req.ticket = ws[s].ring.enqueue(req)
 		if i == 0 {
 			p.notify(ws, s) // recruit workers while the rest publishes
 		}
@@ -657,7 +727,7 @@ func (p *Pool) CallBatch(caller *sgx.Thread, fns []func(*sgx.HostCtx)) error {
 
 	var total, maxWork uint64
 	for _, req := range reqs {
-		for req.done.Load() == 0 {
+		for !p.help(req) {
 			spinWait()
 		}
 		total += req.workCycles

@@ -19,6 +19,16 @@
 // did not hide, and CallBatch, which publishes N descriptors under a
 // single amortized charge.
 //
+// Waiting submitters help: a caller about to wait for a request no one
+// has started runs it itself, on the thread of the worker whose ring
+// holds it, together with the requests queued ahead of it on that ring
+// (never those behind). Each worker's run lock makes whoever executes
+// on its thread exclusive, so the ring order, the worker's clock, TLB
+// and cache class, and every charge are exactly what the worker would
+// have produced: virtual time is unchanged and only the host goroutine
+// supplying the CPU differs. The handoff to the worker goroutine is
+// pure simulator cost; the paper's completion poll is still charged.
+//
 // Trust domain: rpc is the boundary object itself. The submission
 // surface (Call, CallAsync, CallBatch) runs on enclave threads; the
 // worker loop runs on untrusted host threads and carries a per-function
@@ -32,6 +42,7 @@
 package rpc
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 )
@@ -64,10 +75,11 @@ func newRing(capacity int) *ring {
 	return r
 }
 
-// enqueue publishes req, spinning if the ring is momentarily full.
+// enqueue publishes req, spinning if the ring is momentarily full, and
+// returns its ticket: the ring position req was published at.
 //
 //eleos:hotpath budget=0
-func (r *ring) enqueue(req *request) {
+func (r *ring) enqueue(req *request) uint64 {
 	pos := r.enq.Load()
 	for {
 		c := &r.cells[pos&r.mask]
@@ -77,7 +89,7 @@ func (r *ring) enqueue(req *request) {
 			if r.enq.CompareAndSwap(pos, pos+1) {
 				c.req = req
 				c.seq.Store(pos + 1)
-				return
+				return pos
 			}
 			pos = r.enq.Load()
 		case seq < pos:
@@ -94,9 +106,19 @@ func (r *ring) enqueue(req *request) {
 // is empty (workers interleave polling with backoff).
 //
 //eleos:hotpath budget=0
-func (r *ring) dequeue() *request {
+func (r *ring) dequeue() *request { return r.dequeueThrough(math.MaxUint64) }
+
+// dequeueThrough is dequeue limited to tickets up to last: it returns
+// nil once the head has moved past last, so a waiting submitter never
+// takes work queued behind its own request.
+//
+//eleos:hotpath budget=0
+func (r *ring) dequeueThrough(last uint64) *request {
 	pos := r.deq.Load()
 	for {
+		if pos > last {
+			return nil
+		}
 		c := &r.cells[pos&r.mask]
 		seq := c.seq.Load()
 		switch {

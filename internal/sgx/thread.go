@@ -13,7 +13,9 @@ import (
 // Thread is one simulated hardware thread. Enclave threads (created via
 // Enclave.NewThread) can enter the enclave and access both private and
 // host memory; host threads (Platform.NewHostThread) run untrusted code
-// only. A Thread is owned by a single goroutine.
+// only. A Thread is used by one goroutine at a time; an RPC worker's
+// thread by whoever holds the worker's run lock (the worker loop, or a
+// waiting submitter running its own call there).
 type Thread struct {
 	T    *cycles.Thread
 	TLB  *tlb.TLB

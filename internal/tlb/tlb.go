@@ -18,9 +18,10 @@ import (
 
 // A TLB caches virtual-page to physical-frame presence for a single
 // simulated hardware thread. It is a set-associative tag array with
-// round-robin replacement, sized like a Skylake STLB. A TLB is owned by
-// one goroutine; Shootdown presence checks from the driver must be
-// externally synchronized (the sgx package serializes them).
+// round-robin replacement, sized like a Skylake STLB. A TLB is used by
+// one goroutine at a time, like its sgx.Thread; Shootdown presence
+// checks from the driver must be externally synchronized (the sgx
+// package serializes them).
 //
 // Flushes cost O(1): the TLB keeps two flush epochs, one for host
 // translations that every full flush bumps and one for enclave (EPC)
