@@ -1,6 +1,7 @@
 package suvm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -151,5 +152,144 @@ func TestGoldenPrint(t *testing.T) {
 	}
 	for _, pol := range []EvictionPolicy{PolicyClock, PolicyFIFO, PolicyRandom} {
 		fmt.Printf("%s: %v swapper: %v\n", pol, goldenWorkload(t, pol), goldenSwapperWorkload(t, pol))
+	}
+}
+
+// resizeGoldenStep fingerprints one ResizeTo of the resize golden: the
+// error it returned, then the heap's geometry, the resizing thread's
+// virtual clock, the enclave's PRM residency and the paging counters.
+type resizeGoldenStep struct {
+	err                                         string
+	active                                      int
+	cycles                                      uint64
+	resident                                    int
+	resizes, evictions, writeBacks, majorFaults uint64
+}
+
+// resizeGoldenWorkload drives a heap with no carved domains through a
+// fixed ResizeTo sequence — shrink, shrink, grow past capacity, shrink
+// below the 4-frame floor, grow to an odd size — over a dirty working
+// set twice EPC++. The page cache is frames*pageSize plus 1000 bytes,
+// never a 4 KiB multiple, and at 512-byte pages the frame region ends
+// inside a 4 KiB EPC page, so the released and re-pinned EPC ranges
+// exercise both alignment edges. After every step each page is read
+// back and checked, then every third page is rewritten.
+func resizeGoldenWorkload(t *testing.T, pageSize, frames int) []resizeGoldenStep {
+	t.Helper()
+	e := newEnv(t, Config{
+		PageCacheBytes: uint64(frames*pageSize + 1000),
+		PageSize:       pageSize,
+		SubPageSize:    512,
+		BackingBytes:   64 << 20,
+	})
+	pages := 2 * frames
+	p, err := e.h.Malloc(uint64(pages * pageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := make([]byte, pages)
+	content := func(i int) []byte {
+		return bytes.Repeat([]byte{byte(i*7) ^ version[i]}, pageSize)
+	}
+	write := func(i int) {
+		t.Helper()
+		version[i]++
+		if err := p.WriteAt(e.th, uint64(i*pageSize), content(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < pages; i++ {
+		write(i)
+	}
+	ps := uint64(pageSize)
+	targets := []uint64{
+		uint64(frames) * ps * 3 / 4,
+		uint64(frames) * ps / 3,
+		uint64(frames) * ps * 2,
+		ps,
+		uint64(frames/2+1) * ps,
+	}
+	got := make([]byte, pageSize)
+	var steps []resizeGoldenStep
+	for _, target := range targets {
+		err := e.h.ResizeTo(e.th, target)
+		st := e.h.Stats()
+		s := resizeGoldenStep{
+			active:      e.h.ActiveFrames(),
+			cycles:      e.th.T.Cycles(),
+			resident:    e.encl.ResidentPages(),
+			resizes:     st.Resizes,
+			evictions:   st.Evictions,
+			writeBacks:  st.WriteBacks,
+			majorFaults: st.MajorFaults,
+		}
+		if err != nil {
+			s.err = err.Error()
+		}
+		steps = append(steps, s)
+		for i := 0; i < pages; i++ {
+			if err := p.ReadAt(e.th, uint64(i*pageSize), got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, content(i)) {
+				t.Fatalf("page %d lost its data across ResizeTo(%d)", i, target)
+			}
+		}
+		for i := 0; i < pages; i += 3 {
+			write(i)
+		}
+	}
+	return steps
+}
+
+// resizeGoldenGeometries maps each SUVM page size to the frames argument
+// of its resize golden (at 512-byte pages the 1000-byte tail adds one
+// more frame: 78).
+var resizeGoldenGeometries = map[int]int{512: 77, 4096: 40, 65536: 12}
+
+// Golden fingerprints of resizeGoldenWorkload, captured from the
+// domain-less ResizeTo path before the root heap became an ordinary
+// domain. They pin the virtual cost of ballooning a heap that never
+// carves a service domain — the path every single-service enclave and
+// every fleet rebalance takes.
+var resizeGoldenFingerprints = map[int][]resizeGoldenStep{
+	512: {
+		{"", 57, 756368, 11, 1, 97, 97, 154},
+		{"", 25, 1295864, 7, 2, 331, 182, 356},
+		{"", 78, 1931900, 17, 3, 536, 233, 561},
+		{"", 4, 2449976, 4, 4, 749, 308, 753},
+		{"", 39, 3058832, 13, 5, 955, 358, 959},
+	},
+	4096: {
+		{"", 30, 2028500, 31, 1, 50, 50, 80},
+		{"", 13, 3606222, 14, 2, 172, 94, 185},
+		{"", 40, 5840554, 68, 3, 279, 121, 292},
+		{"", 4, 7391226, 5, 4, 388, 160, 392},
+		{"", 21, 9326464, 47, 5, 495, 184, 499},
+	},
+	65536: {
+		{"", 9, 9102730, 145, 1, 15, 15, 24},
+		{"", 4, 16300392, 65, 2, 52, 28, 56},
+		{"", 12, 26570232, 321, 3, 84, 36, 88},
+		{"", 4, 33526796, 65, 4, 114, 47, 118},
+		{"", 7, 41213294, 209, 5, 146, 52, 150},
+	},
+}
+
+func TestResizeGolden(t *testing.T) {
+	for ps, frames := range resizeGoldenGeometries {
+		ps, frames := ps, frames
+		t.Run(fmt.Sprint(ps), func(t *testing.T) {
+			got := resizeGoldenWorkload(t, ps, frames)
+			want := resizeGoldenFingerprints[ps]
+			if len(got) != len(want) {
+				t.Fatalf("resize golden ran %d steps, want %d:\n got  %+v", len(got), len(want), got)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("resize golden step %d diverged:\n got  %+v\n want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
