@@ -16,7 +16,7 @@
 // demand-proportionally, capped at what each heap can actually use.
 // After grow/shrink hysteresis agrees, it installs the vector through
 // the driver's SetEPCShares ioctl and then drives each changed heap
-// through BalloonTarget/ApplyBalloonTarget + ReclaimFreePool on a
+// through BalloonTarget/ResizeTo + ReclaimFreePool on a
 // controller-owned per-tenant thread — resizes run as exclusive phases
 // of each heap's fault pipeline while the other tenants keep faulting.
 //
@@ -485,7 +485,7 @@ func (c *Controller) applyLocked(want []int, decs []TenantDecision) {
 				continue
 			}
 			t.th.Enter()
-			err := t.h.ApplyBalloonTarget(t.th, target)
+			err := t.h.ResizeTo(t.th, target)
 			if err == nil {
 				sig := t.h.BalloonSignal()
 				t.h.ReclaimFreePool(t.th, sig.ActiveFrames/freePoolFraction)

@@ -182,10 +182,3 @@ func CapToLink(cpuThroughput float64, totalBytes int) float64 {
 func CryptoCost(t *cycles.Thread, m *cycles.Model, n int) {
 	t.Charge(m.AESCycles(n))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -111,6 +111,7 @@ func TestConcurrentFaultStressWithSwapper(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("worker error: %v", err)
 	}
+	checkFrames(t, e.h)
 }
 
 // TestSameFaultCoalesces runs 8 threads over one shared stream of pages

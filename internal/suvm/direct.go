@@ -81,7 +81,7 @@ func (h *Heap) directSub(th *sgx.Thread, bsPage uint64, sub int, subOff uint64, 
 	}
 
 	if !write {
-		h.domStats(d).directReads.Add(1)
+		d.stats.directReads.Add(1)
 		if sm == nil || !sm.present {
 			clear(buf)
 			return nil
@@ -96,7 +96,7 @@ func (h *Heap) directSub(th *sgx.Thread, bsPage uint64, sub int, subOff uint64, 
 		return nil
 	}
 
-	h.domStats(d).directWrites.Add(1)
+	d.stats.directWrites.Add(1)
 	full := subOff == 0 && uint64(len(buf)) == h.subSize
 	var plain []byte
 	scratch := h.getScratch()

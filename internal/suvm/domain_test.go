@@ -9,7 +9,56 @@ import (
 )
 
 // Domain carving and isolation invariants: ownership-tagged frees,
-// backing quotas, carve validation, and the resize exclusion.
+// backing quotas, carve validation, proportional ballooning, and frame
+// conservation across every domain.
+
+// checkFrames audits frame conservation at a quiescent point, over
+// every domain, the root included: each frame of [start, start+active)
+// is mapped in the resident table or pooled, exactly once; each frame
+// of [start+active, start+count) is disabled, unmapped and unpooled;
+// and no pool holds a frame outside its own domain's range.
+func checkFrames(t testing.TB, h *Heap) {
+	t.Helper()
+	seen := make([]int, len(h.frames))
+	for i := range h.resident.shards {
+		sh := &h.resident.shards[i]
+		sh.mu.Lock()
+		for page, f := range sh.m {
+			if got := h.frames[f].bsPage.Load(); got != page {
+				t.Errorf("frame %d is mapped for page %d but records page %d", f, page, got)
+			}
+			seen[f]++
+		}
+		sh.mu.Unlock()
+	}
+	doms := h.domainList()
+	for _, d := range doms {
+		for i := range d.free.shards {
+			s := &d.free.shards[i]
+			s.mu.Lock()
+			for _, f := range s.frames {
+				if int(f) < d.start || int(f) >= d.start+d.count {
+					t.Errorf("domain %q pools frame %d outside its range [%d, %d)", d.name, f, d.start, d.start+d.count)
+				}
+				seen[f]++
+			}
+			s.mu.Unlock()
+		}
+	}
+	for _, d := range doms {
+		for f := d.start; f < d.start+d.count; f++ {
+			fm := &h.frames[f]
+			switch {
+			case fm.dom != d:
+				t.Errorf("frame %d of domain %q is tagged for another domain", f, d.name)
+			case f < d.start+d.active && (fm.disabled || seen[f] != 1):
+				t.Errorf("active frame %d of domain %q: disabled=%v, mapped or pooled %d times, want 1", f, d.name, fm.disabled, seen[f])
+			case f >= d.start+d.active && (!fm.disabled || seen[f] != 0):
+				t.Errorf("inactive frame %d of domain %q: disabled=%v, mapped or pooled %d times, want 0", f, d.name, fm.disabled, seen[f])
+			}
+		}
+	}
+}
 
 func TestDomainCarveAndRoundTrip(t *testing.T) {
 	e := newEnv(t, Config{PageCacheBytes: 128 << 10, BackingBytes: 64 << 20}) // 32 frames
@@ -147,6 +196,7 @@ func TestResizeScalesDomainsProportionally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFrames(t, e.h)
 	// Root 24 frames, domain 8. Halving the TOTAL to 16 frames must
 	// scale both carves proportionally: root 12, domain 4.
 	if err := e.h.ResizeTo(e.th, 64<<10); err != nil {
@@ -158,6 +208,7 @@ func TestResizeScalesDomainsProportionally(t *testing.T) {
 	if got := d.ActiveFrames(); got != 4 {
 		t.Fatalf("domain active after proportional shrink: got %d, want 4", got)
 	}
+	checkFrames(t, e.h)
 	// The shrunk domain keeps paging: a working set twice its reduced
 	// carve still round-trips through its own evictor.
 	p, err := d.Malloc(32 << 10)
@@ -178,6 +229,7 @@ func TestResizeScalesDomainsProportionally(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("domain readback mismatch after proportional shrink")
 	}
+	checkFrames(t, e.h)
 	// Growing back re-enables both carves to their full capacity.
 	if err := e.h.ResizeTo(e.th, 128<<10); err != nil {
 		t.Fatal(err)
@@ -188,6 +240,7 @@ func TestResizeScalesDomainsProportionally(t *testing.T) {
 	if got := d.ActiveFrames(); got != 8 {
 		t.Fatalf("domain active after regrow: got %d, want 8", got)
 	}
+	checkFrames(t, e.h)
 	if err := p.ReadAt(e.th, 0, got); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +258,65 @@ func TestResizeScalesDomainsProportionally(t *testing.T) {
 	if got := d.ActiveFrames(); got != 4 {
 		t.Fatalf("domain active at floor: got %d, want 4", got)
 	}
+	checkFrames(t, e.h)
 	if err := d.Free(e.th, p); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A carve refused by a pinned frame must hand the frames it already
+// emptied back to the root: every active root frame stays mapped or
+// pooled, and once the pin is gone the retried carve succeeds with the
+// data intact.
+func TestRefusedCarveKeepsRootFrames(t *testing.T) {
+	e := newEnv(t, smallCfg()) // 16 frames, drained in order 0, 1, 2, ...
+	p, err := e.h.Malloc(16 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 4096) }
+	for i := 0; i < 16; i++ {
+		if err := p.WriteAt(e.th, uint64(i)<<12, page(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A linked spointer pins page 12 in frame 12; the 8-frame carve
+	// empties frames 8..11 before it reaches the pin.
+	pin := p.Clone()
+	if err := pin.Seek(e.th, 12<<12); err != nil {
+		t.Fatal(err)
+	}
+	if err := pin.Read(e.th, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DomainConfig{Name: "svc", EPCBytes: 8 << 12}
+	if _, err := e.h.NewDomain(e.th, cfg); err == nil {
+		t.Fatal("carve past a pinned frame succeeded")
+	}
+	if got := e.h.ActiveFrames(); got != 16 {
+		t.Fatalf("refused carve left the root %d active frames, want 16", got)
+	}
+	if got := e.h.root.free.size(); got != 4 {
+		t.Fatalf("refused carve left %d frames pooled, want the 4 it emptied", got)
+	}
+	checkFrames(t, e.h)
+	pin.Unlink(e.th)
+	d, err := e.h.NewDomain(e.th, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.h.ActiveFrames() != 8 || d.ActiveFrames() != 8 {
+		t.Fatalf("carve split root %d / domain %d, want 8 / 8", e.h.ActiveFrames(), d.ActiveFrames())
+	}
+	checkFrames(t, e.h)
+	got := make([]byte, 4096)
+	for i := 0; i < 16; i++ {
+		if err := p.ReadAt(e.th, uint64(i)<<12, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, page(i)) {
+			t.Fatalf("page %d lost its data across a refused carve", i)
+		}
+	}
+	checkFrames(t, e.h)
 }

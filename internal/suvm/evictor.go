@@ -133,8 +133,9 @@ func (p *framePool) filter(keep func(int32) bool) {
 	}
 }
 
-// evictor selects eviction victims within one domain's frame range
-// (d == nil scans the root's [0, activeFrames)). pick returns a
+// evictor selects eviction victims within one domain's active frame
+// range [d.start, d.start+d.active), so evictors never sweep disabled
+// frames. pick returns a
 // candidate frame with refcnt observed zero, or -1 when nothing is
 // evictable; the caller (evictFrame) re-verifies under the page's
 // locks, so a stale pick costs a retry, never correctness.
@@ -142,7 +143,7 @@ func (p *framePool) filter(keep func(int32) bool) {
 // stats on the domain they scan for.
 type evictor interface {
 	policy() EvictionPolicy
-	pick(h *Heap, d *Domain) int32
+	pick(d *Domain) int32
 }
 
 func newEvictor(pol EvictionPolicy, seed uint64) evictor {
@@ -171,16 +172,16 @@ type clockEvictor struct {
 
 func (c *clockEvictor) policy() EvictionPolicy { return PolicyClock }
 
-func (c *clockEvictor) pick(h *Heap, d *Domain) int32 {
+func (c *clockEvictor) pick(d *Domain) int32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	start, active := h.domainRange(d)
+	frames, start, active := d.h.frames, d.start, d.active
 	scanned := 0
-	defer func() { h.domStats(d).noteScan(scanned) }()
+	defer func() { d.stats.noteScan(scanned) }()
 	for i := 0; i < 2*active; i++ {
 		c.hand = (c.hand + 1) % active
 		scanned++
-		fm := &h.frames[start+c.hand]
+		fm := &frames[start+c.hand]
 		if !evictable(fm) {
 			continue
 		}
@@ -193,7 +194,7 @@ func (c *clockEvictor) pick(h *Heap, d *Domain) int32 {
 	for i := 0; i < active; i++ {
 		c.hand = (c.hand + 1) % active
 		scanned++
-		if evictable(&h.frames[start+c.hand]) {
+		if evictable(&frames[start+c.hand]) {
 			return int32(start + c.hand)
 		}
 	}
@@ -209,16 +210,16 @@ type fifoEvictor struct {
 
 func (f *fifoEvictor) policy() EvictionPolicy { return PolicyFIFO }
 
-func (f *fifoEvictor) pick(h *Heap, d *Domain) int32 {
+func (f *fifoEvictor) pick(d *Domain) int32 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	start, active := h.domainRange(d)
+	frames, start, active := d.h.frames, d.start, d.active
 	scanned := 0
-	defer func() { h.domStats(d).noteScan(scanned) }()
+	defer func() { d.stats.noteScan(scanned) }()
 	for i := 0; i < active; i++ {
 		f.hand = (f.hand + 1) % active
 		scanned++
-		if evictable(&h.frames[start+f.hand]) {
+		if evictable(&frames[start+f.hand]) {
 			return int32(start + f.hand)
 		}
 	}
@@ -234,19 +235,19 @@ type randomEvictor struct {
 
 func (r *randomEvictor) policy() EvictionPolicy { return PolicyRandom }
 
-func (r *randomEvictor) pick(h *Heap, d *Domain) int32 {
+func (r *randomEvictor) pick(d *Domain) int32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	start, active := h.domainRange(d)
+	frames, start, active := d.h.frames, d.start, d.active
 	scanned := 0
-	defer func() { h.domStats(d).noteScan(scanned) }()
+	defer func() { d.stats.noteScan(scanned) }()
 	for i := 0; i < 4*active; i++ {
 		r.rng ^= r.rng << 13
 		r.rng ^= r.rng >> 7
 		r.rng ^= r.rng << 17
 		f := start + int(r.rng%uint64(active))
 		scanned++
-		if evictable(&h.frames[f]) {
+		if evictable(&frames[f]) {
 			return int32(f)
 		}
 	}

@@ -12,9 +12,8 @@ import (
 // count raised (pinning it against eviction), faulting the page in if it
 // is not resident. This is the unlinked-spointer path: resident hits are
 // the paper's minor faults, misses its major faults. The caller must
-// pair it with release. d is the domain faulting on its own behalf (nil
-// = root): its frames supply the page-in and its counters record the
-// events. Fails with sgx.ErrOutOfEPC (wrapped) when every frame is
+// pair it with release. d is the domain faulting on its own behalf: its
+// frames supply the page-in and its counters record the events. Fails with sgx.ErrOutOfEPC (wrapped) when every frame is
 // pinned by a linked spointer.
 func (h *Heap) acquire(th *sgx.Thread, bsPage uint64, d *Domain) (int32, error) {
 	h.lockCost(th)
@@ -26,7 +25,7 @@ func (h *Heap) acquire(th *sgx.Thread, bsPage uint64, d *Domain) (int32, error) 
 		fm.refcnt.Add(1)
 		fm.accessed.Store(true)
 		sh.mu.Unlock()
-		h.domStats(d).minorFaults.Add(1)
+		d.stats.minorFaults.Add(1)
 		return f, nil
 	}
 	sh.mu.Unlock()
@@ -76,7 +75,7 @@ func (h *Heap) majorFault(th *sgx.Thread, bsPage uint64, d *Domain) (int32, erro
 			fm.refcnt.Add(1)
 			fm.accessed.Store(true)
 			sh.mu.Unlock()
-			h.domStats(d).minorFaults.Add(1)
+			d.stats.minorFaults.Add(1)
 			return f, nil
 		}
 		sh.mu.Unlock()
@@ -111,7 +110,7 @@ func (h *Heap) majorFault(th *sgx.Thread, bsPage uint64, d *Domain) (int32, erro
 			return -1, err
 		}
 		h.pageIn(th, bsPage, f, d)
-		h.domStats(d).faultCycles.Add(th.T.Cycles() - c0)
+		d.stats.faultCycles.Add(th.T.Cycles() - c0)
 		fm := &h.frames[f]
 		fm.bsPage.Store(bsPage)
 		fm.refcnt.Store(1)
@@ -123,7 +122,7 @@ func (h *Heap) majorFault(th *sgx.Thread, bsPage uint64, d *Domain) (int32, erro
 		sh.mu.Unlock()
 		op.pagedIn = true
 		h.finishInflight(th, is, bsPage, op)
-		h.domStats(d).majorFaults.Add(1)
+		d.stats.majorFaults.Add(1)
 		return f, nil
 	}
 }
@@ -143,10 +142,10 @@ func (h *Heap) waitInflight(th *sgx.Thread, op *inflightOp, coalesce bool, d *Do
 	if now := th.T.Cycles(); op.doneAt > now {
 		wait := op.doneAt - now
 		th.T.Charge(wait)
-		h.domStats(d).faultWaitCycles.Add(wait)
+		d.stats.faultWaitCycles.Add(wait)
 	}
 	if coalesce && op.pagedIn {
-		h.domStats(d).faultsCoalesced.Add(1)
+		d.stats.faultsCoalesced.Add(1)
 	}
 }
 
@@ -180,7 +179,7 @@ func (h *Heap) pageIn(th *sgx.Thread, bsPage uint64, f int32, d *Domain) {
 
 	if !present {
 		th.WriteStream(h.frameVaddr(f), zeroBuf[:h.pageSize])
-		h.domStats(d).pageIns.Add(1)
+		d.stats.pageIns.Add(1)
 		return
 	}
 	addr, sealer := h.resolve(bsPage)
@@ -195,7 +194,7 @@ func (h *Heap) pageIn(th *sgx.Thread, bsPage uint64, f int32, d *Domain) {
 		panic(fmt.Sprintf("suvm: backing-store page %d failed integrity verification: %v", bsPage, err))
 	}
 	th.WriteStream(h.frameVaddr(f), plain)
-	h.domStats(d).pageIns.Add(1)
+	d.stats.pageIns.Add(1)
 }
 
 // evictAttempts bounds consecutive empty victim scans before takeFrame
@@ -203,29 +202,24 @@ func (h *Heap) pageIn(th *sgx.Thread, bsPage uint64, f int32, d *Domain) {
 const evictAttempts = 3
 
 // takeFrame supplies one free frame for a page-in: pop the sharded free
-// pool, else evict a victim. Frame supply is per-domain: a carved
-// domain's faults draw from its own pool and evict within its own frame
-// range only (nil = the root's pool and range), so one domain can never
-// steal another's EPC++. Races with other takers are resolved page by
+// pool, else evict a victim. Frame supply is per-domain: a domain's
+// faults draw from its own pool and evict within its own frame range
+// only, so one domain can never steal another's EPC++. Races with other takers are resolved page by
 // page — a victim that another thread is already evicting is skipped
 // (after waiting out the conflict), a victim that got pinned or remapped
 // since selection costs one retry. Fails with sgx.ErrOutOfEPC (wrapped)
 // only when victim selection finds no unpinned frame at all.
 func (h *Heap) takeFrame(th *sgx.Thread, d *Domain) (int32, error) {
-	free, ev := h.free, h.ev
-	if d != nil {
-		free, ev = d.free, d.ev
-	}
 	exhausted := 0
 	for {
-		if f, ok := free.take(); ok {
+		if f, ok := d.free.take(); ok {
 			return f, nil
 		}
-		v := ev.pick(h, d)
+		v := d.ev.pick(d)
 		if v < 0 {
 			exhausted++
 			if exhausted >= evictAttempts {
-				return -1, fmt.Errorf("suvm: EPC++ of domain %q exhausted — every frame is pinned by a linked spointer: %w", domName(d), sgx.ErrOutOfEPC)
+				return -1, fmt.Errorf("suvm: EPC++ of domain %q exhausted — every frame is pinned by a linked spointer: %w", d.name, sgx.ErrOutOfEPC)
 			}
 			continue
 		}
@@ -291,7 +285,7 @@ func (h *Heap) evictFrame(th *sgx.Thread, f int32) (bool, *inflightOp) {
 	// Attribute the eviction to the frame's owning domain — the victim
 	// is always one of the evicting domain's own frames, because victim
 	// selection and free pools are range-confined per domain.
-	st := h.domStats(fm.dom)
+	st := &fm.dom.stats
 	if dirty || h.cfg.WriteBackClean {
 		h.writeBack(th, bsPage, f)
 	} else {
@@ -324,7 +318,7 @@ func (h *Heap) writeBack(th *sgx.Thread, bsPage uint64, f int32) {
 	m.nonce = nonce
 	copy(m.tag[:], sealed[h.pageSize:])
 	ms.mu.Unlock()
-	h.domStats(h.frames[f].dom).writeBacks.Add(1)
+	h.frames[f].dom.stats.writeBacks.Add(1)
 }
 
 // access is the positioned, stays-unlinked data path used by containers

@@ -227,6 +227,7 @@ func resizeGoldenWorkload(t *testing.T, pageSize, frames int) []resizeGoldenStep
 			s.err = err.Error()
 		}
 		steps = append(steps, s)
+		checkFrames(t, e.h)
 		for i := 0; i < pages; i++ {
 			if err := p.ReadAt(e.th, uint64(i*pageSize), got); err != nil {
 				t.Fatal(err)

@@ -177,22 +177,22 @@ type Heap struct {
 	allocs     map[uint64]allocInfo
 	directBase uint64
 
-	// EPC++: maxFrames pinned enclave pages; activeFrames of them are
-	// currently usable (ballooning shrinks/grows this).
-	frameBase    uint64
-	frames       []frameMeta
-	activeFrames int
+	// EPC++: maxFrames pinned enclave pages, split into domains
+	// (domain.go). root is domain 0: it starts out owning every frame,
+	// and each carve takes frames off the top of its range.
+	frameBase uint64
+	frames    []frameMeta
+	root      *Domain
 
 	// The fault pipeline: faults on different pages proceed fully in
-	// parallel. free supplies frames from sharded pools, ev selects
-	// victims under its own policy lock, inflight gives each faulting or
-	// evicting page a single owner (same-page faulters wait and coalesce
-	// onto the winner's frame). epoch is the resize epoch: faults take it
-	// shared, ResizeTo/BalloonTick/Attach/Detach take it exclusively, so
-	// capacity changes see a quiesced pipeline without stalling faults
-	// the rest of the time. The linked data path takes none of this.
-	free     *framePool
-	ev       evictor
+	// parallel. Each domain supplies frames from its own sharded pool
+	// and selects victims under its own policy lock; inflight gives each
+	// faulting or evicting page a single owner (same-page faulters wait
+	// and coalesce onto the winner's frame). epoch is the resize epoch:
+	// faults take it shared, ResizeTo/BalloonTick/NewDomain/Attach/Detach
+	// take it exclusively, so capacity changes see a quiesced pipeline
+	// without stalling faults the rest of the time. The linked data path
+	// takes none of this.
 	inflight *inflightTable
 	//eleos:lockorder 10
 	epoch sync.RWMutex
@@ -221,12 +221,10 @@ type Heap struct {
 
 	scratch sync.Pool // page-size byte buffers
 
-	// Carved service domains (domain.go). Mutated only under the
+	// Every domain, root first then carve order. Mutated only under the
 	// exclusive resize epoch; published atomically so lock-free readers
-	// (stats, resize guards) see a consistent snapshot.
+	// (stats) see a consistent snapshot.
 	domains atomic.Pointer[[]*Domain]
-
-	stats Stats
 
 	// lastBalloonErr is the message of the most recent refused
 	// BalloonTick (see StatsSnapshot.LastBalloonErr); nil when no tick
@@ -237,7 +235,7 @@ type Heap struct {
 type allocInfo struct {
 	size   uint64
 	direct bool
-	dom    *Domain // owning carved domain, nil for the root
+	dom    *Domain // owning domain
 }
 
 // New creates a SUVM heap inside encl. setup must be a thread of the
@@ -260,7 +258,6 @@ func New(encl *sgx.Enclave, setup *sgx.Thread, cfg Config) (*Heap, error) {
 		subsPer:  cfg.PageSize / cfg.SubPageSize,
 		allocs:   make(map[uint64]allocInfo),
 		metaBase: make(map[uint64]uint64),
-		ev:       newEvictor(cfg.Policy, cfg.RandomSeed),
 		inflight: newInflightTable(),
 		resident: newResidentTable(),
 		meta:     newMetaTable(),
@@ -302,11 +299,19 @@ func New(encl *sgx.Enclave, setup *sgx.Thread, cfg Config) (*Heap, error) {
 	}
 	h.frameBase = encl.AllocPages(poolPages)
 	encl.Pin(setup, h.frameBase, uint64(maxFrames)*h.pageSize)
+	h.root = &Domain{
+		h:      h,
+		name:   "root",
+		count:  maxFrames,
+		active: maxFrames,
+		free:   newFramePool(0, maxFrames),
+		ev:     newEvictor(cfg.Policy, cfg.RandomSeed),
+	}
+	h.domains.Store(&[]*Domain{h.root})
 	h.frames = make([]frameMeta, maxFrames)
-	h.activeFrames = maxFrames
-	h.free = newFramePool(0, maxFrames)
 	for i := range h.frames {
 		h.frames[i].bsPage.Store(noBSPage)
+		h.frames[i].dom = h.root
 	}
 
 	// Inverse page table region: one entry per EPC++ frame, double
@@ -344,9 +349,9 @@ type frameMeta struct {
 	accessed atomic.Bool // clock reference bit
 	dirty    atomic.Bool // set by writers; consumed under the shard lock at eviction
 	disabled bool        // removed from EPC++ by ballooning (under the exclusive resize epoch)
-	// dom is the carved domain this frame was assigned to, nil for the
-	// root. Written only under the exclusive resize epoch (NewDomain),
-	// read by fault and eviction paths holding the epoch shared.
+	// dom is the domain this frame belongs to. Written only under the
+	// exclusive resize epoch (NewDomain), read by fault and eviction
+	// paths holding the epoch shared.
 	dom *Domain
 }
 
@@ -380,14 +385,14 @@ func (h *Heap) Enclave() *sgx.Enclave { return h.encl }
 // Malloc allocates n bytes in the backing store and returns an unlinked
 // spointer to it, as suvm_malloc does. The memory is demand-cached in
 // EPC++ on first access.
-func (h *Heap) Malloc(n uint64) (*SPtr, error) { return h.mallocFrom(n, nil, false) }
+func (h *Heap) Malloc(n uint64) (*SPtr, error) { return h.mallocFrom(n, h.root, false) }
 
 // MallocDirect allocates n bytes accessed directly in the backing store
 // at sub-page granularity, bypassing EPC++ (§3.2.4). Suited to small
 // random accesses with no reuse.
-func (h *Heap) MallocDirect(n uint64) (*SPtr, error) { return h.mallocFrom(n, nil, true) }
+func (h *Heap) MallocDirect(n uint64) (*SPtr, error) { return h.mallocFrom(n, h.root, true) }
 
-// mallocFrom allocates on behalf of domain d (nil = root), tagging the
+// mallocFrom allocates on behalf of domain d, tagging the
 // allocation and spointer with their owner and enforcing the domain's
 // backing quota.
 func (h *Heap) mallocFrom(n uint64, d *Domain, direct bool) (*SPtr, error) {
@@ -396,7 +401,7 @@ func (h *Heap) mallocFrom(n uint64, d *Domain, direct bool) (*SPtr, error) {
 	}
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
-	if d != nil && d.quota != 0 && d.quotaUsed+n > d.quota {
+	if d.quota != 0 && d.quotaUsed+n > d.quota {
 		return nil, fmt.Errorf("%w: domain %q backing quota exceeded (%d of %d bytes in use)",
 			ErrBackingFull, d.name, d.quotaUsed, d.quota)
 	}
@@ -409,9 +414,7 @@ func (h *Heap) mallocFrom(n uint64, d *Domain, direct bool) (*SPtr, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBackingFull, err)
 	}
 	h.allocs[addr] = allocInfo{size: n, direct: direct, dom: d}
-	if d != nil {
-		d.quotaUsed += n
-	}
+	d.quotaUsed += n
 	return &SPtr{h: h, base: addr, size: n, frame: -1, direct: direct, dom: d}, nil
 }
 
@@ -420,10 +423,10 @@ func (h *Heap) mallocFrom(n uint64, d *Domain, direct bool) (*SPtr, error) {
 // range may be recycled by a later Malloc with malloc(3) semantics
 // (contents unspecified). Allocations made from a carved domain must be
 // freed through that domain (ErrCrossDomain otherwise).
-func (h *Heap) Free(th *sgx.Thread, p *SPtr) error { return h.freeFrom(th, p, nil) }
+func (h *Heap) Free(th *sgx.Thread, p *SPtr) error { return h.freeFrom(th, p, h.root) }
 
-// freeFrom releases an allocation on behalf of domain owner (nil =
-// root), refusing to free across domain boundaries.
+// freeFrom releases an allocation on behalf of domain owner, refusing
+// to free across domain boundaries.
 func (h *Heap) freeFrom(th *sgx.Thread, p *SPtr, owner *Domain) error {
 	if p.h == nil {
 		return fmt.Errorf("%w: double free", ErrFreed)
@@ -442,14 +445,12 @@ func (h *Heap) freeFrom(th *sgx.Thread, p *SPtr, owner *Domain) error {
 		return ErrDoubleFree
 	}
 	if info.dom != owner {
-		return fmt.Errorf("%w: owned by %q, freed via %q", ErrCrossDomain, domName(info.dom), domName(owner))
+		return fmt.Errorf("%w: owned by %q, freed via %q", ErrCrossDomain, info.dom.name, owner.name)
 	}
 	p.Unlink(th)
 	delete(h.allocs, p.base)
 	p.h = nil // poison: further use of the spointer fails with ErrFreed
-	if info.dom != nil {
-		info.dom.quotaUsed -= info.size
-	}
+	info.dom.quotaUsed -= info.size
 	if info.direct {
 		return h.directBS.Free(p.base)
 	}
@@ -460,11 +461,11 @@ func (h *Heap) freeFrom(th *sgx.Thread, p *SPtr, owner *Domain) error {
 // domains the flat totals aggregate root + every domain, and Domains
 // carries the per-domain breakdown.
 func (h *Heap) Stats() StatsSnapshot {
-	snap := h.stats.snapshot()
+	snap := h.root.stats.snapshot()
 	if msg := h.lastBalloonErr.Load(); msg != nil {
 		snap.LastBalloonErr = *msg
 	}
-	doms := h.domainList()
+	doms := h.domainList()[1:]
 	if len(doms) == 0 {
 		return snap
 	}
@@ -480,7 +481,6 @@ func (h *Heap) Stats() StatsSnapshot {
 // ResetStats zeroes the counters — root and every carved domain
 // (benchmark warm-up boundary).
 func (h *Heap) ResetStats() {
-	h.stats.reset()
 	h.lastBalloonErr.Store(nil)
 	for _, d := range h.domainList() {
 		d.stats.reset()
@@ -495,12 +495,9 @@ func (h *Heap) Quiesce() {
 	defer h.epoch.Unlock()
 }
 
-// ActiveFrames reports the current EPC++ capacity in pages.
-func (h *Heap) ActiveFrames() int {
-	h.epoch.RLock()
-	defer h.epoch.RUnlock()
-	return h.activeFrames
-}
+// ActiveFrames reports the root domain's current EPC++ capacity in
+// pages (the whole heap's when no domain is carved).
+func (h *Heap) ActiveFrames() int { return h.root.ActiveFrames() }
 
 func (h *Heap) getScratch() *[]byte  { return h.scratch.Get().(*[]byte) }
 func (h *Heap) putScratch(b *[]byte) { h.scratch.Put(b) }

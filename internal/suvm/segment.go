@@ -135,7 +135,7 @@ func (h *Heap) Attach(th *sgx.Thread, seg *Segment) (*SPtr, error) {
 	// that ordinary spointer arithmetic lands on the segment's pseudo
 	// page numbers.
 	base := h.bsBase + (first << h.pageShift)
-	return &SPtr{h: h, base: base, size: seg.size, frame: -1}, nil
+	return &SPtr{h: h, base: base, size: seg.size, frame: -1, dom: h.root}, nil
 }
 
 // Detach flushes every cached page of the mounted segment back to its
@@ -176,7 +176,7 @@ func (h *Heap) Detach(th *sgx.Thread, p *SPtr) error {
 				h.epoch.Unlock()
 				return fmt.Errorf("%w: segment page %d is pinned by a linked spointer", ErrSegmentBusy, i)
 			}
-			h.free.put(f)
+			h.root.free.put(f)
 		}
 	}
 	h.epoch.Unlock()

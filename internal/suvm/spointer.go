@@ -24,7 +24,7 @@ type SPtr struct {
 	size   uint64
 	off    uint64 // current offset within the allocation
 	direct bool
-	dom    *Domain // owning carved domain, nil for the root
+	dom    *Domain // owning domain
 
 	frame      int32 // linked EPC++ frame, or -1
 	linkedPage uint64
@@ -33,10 +33,6 @@ type SPtr struct {
 
 // Heap returns the owning SUVM heap.
 func (p *SPtr) Heap() *Heap { return p.h }
-
-// Domain returns the carved domain that owns the allocation, or nil for
-// an allocation made directly on the heap (the root domain).
-func (p *SPtr) Domain() *Domain { return p.dom }
 
 // Size returns the allocation size in bytes.
 func (p *SPtr) Size() uint64 { return p.size }

@@ -516,6 +516,7 @@ func TestRefusedShrinkKeepsFramesConsistent(t *testing.T) {
 	}
 	// Pages 0..5 fill frames 0..5; a linked spointer pins page 5.
 	write(0, 6)
+	checkFrames(t, e.h)
 	pin := p.Clone()
 	if err := pin.Seek(e.th, 5<<12); err != nil {
 		t.Fatal(err)
@@ -529,17 +530,21 @@ func TestRefusedShrinkKeepsFramesConsistent(t *testing.T) {
 	if got := e.h.ActiveFrames(); got != 16 {
 		t.Fatalf("refused shrink left ActiveFrames = %d, want 16", got)
 	}
+	checkFrames(t, e.h)
 	pin.Unlink(e.th)
 	// Pages 6..9 fault into frames the refused shrink had reached.
 	write(6, 10)
 	if err := e.h.ResizeTo(e.th, 4<<12); err != nil {
 		t.Fatal(err)
 	}
+	checkFrames(t, e.h)
 	if err := e.h.ResizeTo(e.th, 16<<12); err != nil {
 		t.Fatal(err)
 	}
+	checkFrames(t, e.h)
 	// Fresh pages reuse the re-enabled frames.
 	write(10, 16)
+	checkFrames(t, e.h)
 	got := make([]byte, 4096)
 	for i := 0; i < 16; i++ {
 		if err := p.ReadAt(e.th, uint64(i)<<12, got); err != nil {
@@ -549,6 +554,7 @@ func TestRefusedShrinkKeepsFramesConsistent(t *testing.T) {
 			t.Fatalf("page %d lost its data across a refused shrink (first byte %d, want %d)", i, got[0], i+1)
 		}
 	}
+	checkFrames(t, e.h)
 }
 
 func TestBalloonTickTracksDriverShare(t *testing.T) {
@@ -696,11 +702,4 @@ func TestMemcpyMemsetCompare(t *testing.T) {
 	if c, _ := a.CompareAt(e.th, 0, want); c == 0 {
 		t.Fatal("CompareAt missed a difference")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,8 +9,9 @@ import (
 	"eleos/internal/sgx"
 )
 
-// ResizeTo adjusts the EPC++ capacity to targetBytes (clamped to
-// [4 pages, configured capacity]). Shrinking evicts the vacated frames'
+// ResizeTo adjusts the EPC++ capacity to targetBytes: the TOTAL over
+// the root and every carved domain, clamped to the sum of their floors
+// and of their capacities. Shrinking evicts the vacated frames'
 // contents (write-back if dirty) and returns their EPC pages to the SGX
 // driver; growing re-pins previously released pages. This is the
 // operation the paper's swapper thread performs when the driver reports
@@ -19,50 +20,110 @@ import (
 // an exclusive phase of the fault pipeline: it waits for in-flight
 // faults to drain and blocks new ones for its (short) duration.
 //
-// On a heap with carved service domains the target is the TOTAL EPC++
-// capacity (root plus every domain) and the balloon scales each carve
-// proportionally to its current size: the root keeps its ≥4-frame
-// floor, every domain keeps min(4, carve) frames, and leftover frames
-// are distributed in fixed order (root first, then carve order) so the
-// split is deterministic. See resizeDomainsLocked.
+// The balloon scales each domain proportionally to its current size:
+// every domain keeps min(4, capacity) frames, and leftover frames are
+// distributed in fixed order (root first, then carve order) so the
+// split is deterministic. Shrinks run before grows so vacated EPC pages
+// return to the driver before new ones are pinned. A pinned frame
+// aborts the resize mid-way with the domains already resized kept; the
+// next balloon tick retries from the new geometry.
 func (h *Heap) ResizeTo(th *sgx.Thread, targetBytes uint64) error {
-	target := int(targetBytes / h.pageSize)
-	if target < 4 {
-		target = 4
-	}
-	if target > len(h.frames) {
-		target = len(h.frames)
-	}
 	h.epoch.Lock()
 	defer h.epoch.Unlock()
-	if doms := h.domainList(); len(doms) > 0 {
-		return h.resizeDomainsLocked(th, target, doms)
-	}
-	if target == h.activeFrames {
-		return nil
-	}
-	h.stats.resizes.Add(1)
-	if target < h.activeFrames {
-		return h.shrinkLocked(th, target)
-	}
-	return h.growLocked(th, target)
+	return h.resizeLocked(th, int(targetBytes/h.pageSize))
 }
 
-func (h *Heap) shrinkLocked(th *sgx.Thread, target int) error {
-	// Pinned (linked) frames cannot be vacated; fail fast so the caller
-	// (swapper tick or explicit resize) retries.
-	if f, ok := h.vacateLocked(th, h.free, target, h.activeFrames); !ok {
-		return fmt.Errorf("suvm: cannot shrink EPC++ below %d frames: frame %d is pinned by a linked spointer", f+1, f)
+// floor is the fewest frames ballooning leaves a domain.
+func (d *Domain) floor() int { return min(4, d.count) }
+
+// resizeLocked is ResizeTo with the exclusive resize epoch held.
+func (h *Heap) resizeLocked(th *sgx.Thread, target int) error {
+	doms := h.domainList()
+	total, floorSum, capSum := 0, 0, 0
+	for _, d := range doms {
+		total += d.active
+		floorSum += d.floor()
+		capSum += d.count
 	}
-	h.activeFrames = target
-	// Return the underlying EPC pages to the driver (whole 4 KiB pages
-	// only; with sub-4K SUVM pages the tail partial page is kept).
-	start := uint64(target) * h.pageSize
-	end := uint64(len(h.frames)) * h.pageSize
-	start = (start + phys.PageSize - 1) &^ (phys.PageSize - 1)
-	if end > start {
-		h.encl.FreePages(h.frameBase+start, end-start)
+	target = max(floorSum, min(target, capSum))
+	if target == total {
+		return nil
 	}
+	h.root.stats.resizes.Add(1)
+
+	// Proportional split by current size, clamped per domain.
+	want := make([]int, len(doms))
+	assigned := 0
+	for i, d := range doms {
+		w := int(int64(target) * int64(d.active) / int64(total))
+		want[i] = max(d.floor(), min(w, d.count))
+		assigned += want[i]
+	}
+	// Distribute the remainder one frame at a time in fixed domain order.
+	// target ∈ [floorSum, capSum] guarantees the loop drains.
+	for rem := target - assigned; rem != 0; {
+		for i, d := range doms {
+			if rem > 0 && want[i] < d.count {
+				want[i]++
+				rem--
+			} else if rem < 0 && want[i] > d.floor() {
+				want[i]--
+				rem++
+			}
+			if rem == 0 {
+				break
+			}
+		}
+	}
+
+	for i, d := range doms {
+		if want[i] < d.active {
+			if err := h.shrinkLocked(th, d, want[i]); err != nil {
+				return err
+			}
+		}
+	}
+	for i, d := range doms {
+		if want[i] > d.active {
+			h.growLocked(th, d, want[i])
+		}
+	}
+	return nil
+}
+
+// pinnedEdge is the 4 KiB-aligned boundary between a domain's pinned
+// prefix and its released suffix when its first a frames are active:
+// whole EPC pages at or above it (and fully inside the domain) are
+// released. Aligning up keeps any page shared with an active frame
+// pinned.
+func (d *Domain) pinnedEdge(a int) uint64 {
+	off := uint64(d.start+a) * d.h.pageSize
+	return (off + phys.PageSize - 1) &^ (phys.PageSize - 1)
+}
+
+// ceil is the highest byte a domain may release or pin: the last 4 KiB
+// boundary fully inside its range (a tail page shared with the next
+// domain's frames stays pinned permanently).
+func (d *Domain) ceil() uint64 {
+	return (uint64(d.start+d.count) * d.h.pageSize) &^ (phys.PageSize - 1)
+}
+
+// shrinkLocked vacates d's top frames down to n: evict contents
+// (write-back if dirty, charged to th), disable the frames, drop them
+// from d's pool and return the fully vacated EPC pages to the driver.
+// Pinned (linked) frames cannot be vacated; the shrink fails fast so
+// the caller (swapper tick or explicit resize) retries. Called with the
+// exclusive epoch held.
+func (h *Heap) shrinkLocked(th *sgx.Thread, d *Domain, n int) error {
+	if f, ok := h.vacateLocked(th, d.free, d.start+n, d.start+d.active); !ok {
+		return fmt.Errorf("suvm: cannot shrink %s EPC++ to %d frames: frame %d is pinned by a linked spointer",
+			d.name, n, f)
+	}
+	lo, hi := d.pinnedEdge(n), min(d.pinnedEdge(d.active), d.ceil())
+	if hi > lo {
+		h.encl.FreePages(h.frameBase+lo, hi-lo)
+	}
+	d.active = n
 	return nil
 }
 
@@ -95,21 +156,20 @@ func (h *Heap) vacateLocked(th *sgx.Thread, pool *framePool, lo, hi int) (int, b
 	return 0, true
 }
 
-func (h *Heap) growLocked(th *sgx.Thread, target int) error {
-	start := uint64(h.activeFrames) * h.pageSize
-	end := uint64(target) * h.pageSize
-	start = (start + phys.PageSize - 1) &^ (phys.PageSize - 1)
-	if end > start {
-		// Re-materialize and pin the underlying EPC pages.
-		h.encl.Pin(th, h.frameBase+start, end-start)
+// growLocked re-enables d's frames up to n, re-pinning the underlying
+// EPC pages (charged to th) and returning the frames to d's pool.
+// Called with the exclusive epoch held.
+func (h *Heap) growLocked(th *sgx.Thread, d *Domain, n int) {
+	lo, hi := d.pinnedEdge(d.active), min(d.pinnedEdge(n), d.ceil())
+	if hi > lo {
+		h.encl.Pin(th, h.frameBase+lo, hi-lo)
 	}
-	for f := target - 1; f >= h.activeFrames; f-- {
+	for f := d.start + n - 1; f >= d.start+d.active; f-- {
 		h.frames[f].disabled = false
 		h.frames[f].bsPage.Store(noBSPage)
-		h.free.put(int32(f))
+		d.free.put(int32(f))
 	}
-	h.activeFrames = target
-	return nil
+	d.active = n
 }
 
 // ReclaimFreePool pre-evicts pages until the free pool holds at least
@@ -122,20 +182,19 @@ func (h *Heap) growLocked(th *sgx.Thread, target int) error {
 // iteration, so application faults proceed alongside the reclaim and a
 // resize never waits for more than one eviction.
 func (h *Heap) ReclaimFreePool(th *sgx.Thread, target int) int {
-	h.epoch.RLock()
-	active := h.activeFrames
-	h.epoch.RUnlock()
+	root := h.root
+	active := root.ActiveFrames()
 	if target > active/2 {
 		target = active / 2
 	}
 	reclaimed, stalls := 0, 0
 	for {
 		h.epoch.RLock()
-		if h.free.size() >= target {
+		if root.free.size() >= target {
 			h.epoch.RUnlock()
 			return reclaimed
 		}
-		v := h.ev.pick(h, nil)
+		v := root.ev.pick(root)
 		if v < 0 {
 			h.epoch.RUnlock()
 			return reclaimed
@@ -147,7 +206,7 @@ func (h *Heap) ReclaimFreePool(th *sgx.Thread, target int) int {
 			// frame v already empty, disable it, filter the free pools (v
 			// not yet pooled) and release its EPC pages — a put after that
 			// resurrects a disabled frame for future page-ins.
-			h.free.put(v)
+			root.free.put(v)
 			reclaimed++
 			stalls = 0
 			h.epoch.RUnlock()
@@ -179,14 +238,6 @@ func (h *Heap) BalloonTarget(availBytes uint64) uint64 {
 	return target
 }
 
-// ApplyBalloonTarget resizes EPC++ to targetBytes — the application
-// half of the BalloonTick split, for callers (the fleet controller)
-// that computed the target themselves. Currently a named alias of
-// ResizeTo, kept separate so the balloon entry point is explicit.
-func (h *Heap) ApplyBalloonTarget(th *sgx.Thread, targetBytes uint64) error {
-	return h.ResizeTo(th, targetBytes)
-}
-
 // BalloonTick queries the SGX driver for this enclave's PRM share and
 // resizes EPC++ to fit inside it, leaving a fraction of headroom for the
 // enclave's other memory (page tables, application heap). This is the
@@ -197,9 +248,9 @@ func (h *Heap) ApplyBalloonTarget(th *sgx.Thread, targetBytes uint64) error {
 // ticks are observable even when the caller discards the error.
 func (h *Heap) BalloonTick(th *sgx.Thread) error {
 	avail := h.plat.Driver.AvailableEPCBytesFor(h.encl.ID())
-	err := h.ApplyBalloonTarget(th, h.BalloonTarget(avail))
+	err := h.ResizeTo(th, h.BalloonTarget(avail))
 	if err != nil {
-		h.stats.balloonSkips.Add(1)
+		h.root.stats.balloonSkips.Add(1)
 		msg := err.Error()
 		h.lastBalloonErr.Store(&msg)
 	}
@@ -233,8 +284,7 @@ type BalloonSignal struct {
 func (h *Heap) BalloonSignal() BalloonSignal {
 	s := h.Stats()
 	h.epoch.RLock()
-	active := h.activeFrames
-	free := h.free.size()
+	active, free := 0, 0
 	for _, d := range h.domainList() {
 		active += d.active
 		free += d.free.size()
