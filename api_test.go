@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The three ways to configure a Runtime — no arguments, a classic
-// Config value, and functional options — must agree where they overlap.
+// NewRuntime with no arguments takes the paper's defaults, and each
+// functional option changes exactly its knob.
 func TestNewRuntimeConfigurationStyles(t *testing.T) {
 	// No arguments: the paper's defaults.
 	rt, err := NewRuntime()
@@ -15,16 +15,6 @@ func TestNewRuntimeConfigurationStyles(t *testing.T) {
 	}
 	if got := len(rt.Pool().Workers()); got != 2 {
 		t.Fatalf("default worker count = %d, want 2", got)
-	}
-	rt.Close()
-
-	// Classic Config value, still accepted as the sole argument.
-	rt, err = NewRuntime(Config{RPCWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rt.Pool().Workers()); got != 3 {
-		t.Fatalf("Config{RPCWorkers: 3} worker count = %d", got)
 	}
 	rt.Close()
 
@@ -55,25 +45,15 @@ func TestNewRuntimeConfigurationStyles(t *testing.T) {
 	}
 }
 
-// A later option overrides an earlier one, and a Config argument
-// replaces everything applied before it.
+// A later option overrides an earlier one.
 func TestOptionOrdering(t *testing.T) {
 	rt, err := NewRuntime(WithRPCWorkers(8), WithRPCWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Close()
 	if got := len(rt.Pool().Workers()); got != 1 {
 		t.Fatalf("later option did not win: %d workers", got)
-	}
-	rt.Close()
-
-	rt, err = NewRuntime(WithRPCWorkers(8), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if got := len(rt.Pool().Workers()); got != 2 {
-		t.Fatalf("Config argument did not replace prior options: %d workers", got)
 	}
 }
 

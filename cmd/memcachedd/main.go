@@ -10,106 +10,46 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
-	"os"
 
-	"eleos/internal/exitio"
+	"eleos/internal/daemon"
 	"eleos/internal/mckv"
-	"eleos/internal/rpc"
 	"eleos/internal/sgx"
-	"eleos/internal/suvm"
 )
 
 func main() {
-	var (
-		listen    = flag.String("listen", "127.0.0.1:11211", "TCP listen address")
-		memMB     = flag.Int("mem", 256, "item memory limit in MiB")
-		placement = flag.String("placement", "suvm", "item payload placement: suvm|suvm-direct|epc|host")
-		epcppMB   = flag.Int("epcpp", 60, "SUVM page cache (EPC++) size in MiB")
-		syscall   = flag.String("syscall", "rpc-async", "simulated syscall dispatch: native|ocall|rpc|rpc-async")
-		workers   = flag.Int("rpc-workers", 2, "untrusted RPC worker count (rpc modes)")
-	)
+	var f daemon.Flags
+	f.Register(flag.CommandLine, "127.0.0.1:11211")
+	memMB := flag.Int("mem", 256, "item memory limit in MiB")
+	placement := flag.String("placement", "suvm", "item payload placement: suvm|suvm-direct|epc|host")
 	flag.Parse()
-	mode, err := exitio.ParseMode(*syscall)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "memcachedd: %v\n", err)
-		os.Exit(2)
-	}
-
-	plat, err := sgx.NewPlatform(sgx.Config{})
-	if err != nil {
-		log.Fatalf("memcachedd: %v", err)
-	}
-	var pool *rpc.Pool
-	if mode.NeedsPool() {
-		pool = rpc.NewPool(plat, *workers, 256)
-		pool.Start()
-		defer pool.Stop()
-	}
-	eng, err := exitio.NewEngine(mode, pool)
-	if err != nil {
-		log.Fatalf("memcachedd: %v", err)
-	}
-	encl, err := plat.NewEnclave()
-	if err != nil {
-		log.Fatalf("memcachedd: %v", err)
-	}
-	setup := encl.NewThread()
-	setup.Enter()
-
-	var pl mckv.Placement
-	var heap *suvm.Heap
-	switch *placement {
-	case "suvm", "suvm-direct":
-		heap, err = suvm.New(encl, setup, suvm.Config{
-			PageCacheBytes: uint64(*epcppMB) << 20,
-			BackingBytes:   4 << 30,
-		})
-		if err != nil {
-			log.Fatalf("memcachedd: creating SUVM heap: %v", err)
+	pl := mckv.Placement(-1)
+	for p := mckv.PlaceEnclave; p <= mckv.PlaceHost; p++ {
+		if p.String() == *placement {
+			pl = p
 		}
-		pl = mckv.PlaceSUVM
-		if *placement == "suvm-direct" {
-			pl = mckv.PlaceSUVMDirect
-		}
-	case "epc":
-		pl = mckv.PlaceEnclave
-	case "host":
-		pl = mckv.PlaceHost
-	default:
-		fmt.Fprintf(os.Stderr, "memcachedd: unknown placement %q\n", *placement)
-		os.Exit(2)
 	}
+	if pl < 0 {
+		log.Fatalf("memcachedd: unknown placement %q", *placement)
+	}
+	daemon.Main("memcachedd", f, pl == mckv.PlaceSUVM || pl == mckv.PlaceSUVMDirect,
+		func(d *daemon.Daemon) (daemon.Handler, error) { return newServer(d, *memMB, pl) })
+}
 
-	store, err := mckv.NewStore(plat, setup, mckv.Config{
-		MemLimitBytes: uint64(*memMB) << 20,
+// newServer builds the item store and serves the memcached protocol
+// over it.
+func newServer(d *daemon.Daemon, memMB int, pl mckv.Placement) (daemon.Handler, error) {
+	store, err := mckv.NewStore(d.Plat, d.Setup, mckv.Config{
+		MemLimitBytes: uint64(memMB) << 20,
 		Placement:     pl,
-		Heap:          heap,
+		Heap:          d.Heap,
 	})
 	if err != nil {
-		log.Fatalf("memcachedd: %v", err)
+		return nil, err
 	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("memcachedd: %v", err)
-	}
-	log.Printf("memcachedd: serving on %s (placement=%s, mem=%dMiB, syscall=%s)", ln.Addr(), pl, *memMB, mode)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			log.Printf("memcachedd: accept: %v", err)
-			continue
-		}
-		go func() {
-			th := encl.NewThread()
-			th.Enter()
-			if err := mckv.ServeConnIO(conn, store, th, eng); err != nil {
-				log.Printf("memcachedd: connection: %v", err)
-			}
-			th.Exit()
-		}()
-	}
+	log.Printf("placement=%s, mem=%dMiB", pl, memMB)
+	return func(conn net.Conn, th *sgx.Thread) error {
+		return mckv.ServeConnIO(conn, store, th, d.Eng)
+	}, nil
 }

@@ -152,15 +152,16 @@ func (c *Ctx) IO() *IOQueue {
 	return c.io
 }
 
-// Pump gives the runtime's controllers a chance to act, on this
-// context's virtual clock. Serving loops call it once per request:
-// off-epoch it costs one comparison per enabled controller. On an
-// epoch boundary the self-tuning controller resizes the worker pool
-// and refreshes its mode advice, which Pump then applies to the
-// context's I/O queue (at a chain boundary, if the queue exists); the
-// fleet balloon controller rebalances PRM shares across the runtime's
-// enclaves. Returns whether any epoch fired; always false on runtimes
-// built with neither controller.
+// Pump gives the runtime's controllers and the enclave's swapper a
+// chance to act, on this context's virtual clock. Serving loops call it
+// once per request: off-epoch it costs one comparison per enabled
+// controller and charges the context nothing. On an epoch boundary the
+// self-tuning controller resizes the worker pool and refreshes its mode
+// advice, which Pump then applies to the context's I/O queue (at a
+// chain boundary, if the queue exists); the fleet balloon controller
+// rebalances PRM shares across the runtime's enclaves; and the swapper
+// balloons and reclaims on its own thread. Returns whether any epoch
+// fired; always false without a controller or a swapper.
 func (c *Ctx) Pump() bool {
 	fired := false
 	if t := c.e.rt.tuner; t != nil && t.Pump(c.th) {
@@ -172,6 +173,9 @@ func (c *Ctx) Pump() bool {
 		}
 	}
 	if f := c.e.rt.fleet; f != nil && f.Pump(c.th) {
+		fired = true
+	}
+	if s := c.e.swapper; s != nil && s.Pump(c.th) {
 		fired = true
 	}
 	return fired

@@ -28,10 +28,10 @@
 package eleos
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eleos/internal/cycles"
 	"eleos/internal/exitio"
@@ -76,9 +76,6 @@ type (
 	// EvictionPolicy selects EPC++ eviction victims (§3.2.4: the
 	// application controls the eviction policy).
 	EvictionPolicy = suvm.EvictionPolicy
-	// Swapper is the EPC++ swapper thread; in manual mode drive it with
-	// TickNow for deterministic runs.
-	Swapper = suvm.Swapper
 	// IOEngine is the exit-less I/O submission/completion engine
 	// (internal/exitio): typed ops, linked chains, pluggable dispatch.
 	IOEngine = exitio.Engine
@@ -154,53 +151,6 @@ const (
 	PolicyRandom = suvm.PolicyRandom
 )
 
-// Config describes a Runtime: the simulated machine plus the untrusted
-// Eleos runtime (RPC workers, cache partitioning). New code should
-// prefer the functional options (WithRPCWorkers, WithCATWays,
-// WithMachine, ...); Config remains as the compatibility layer and is
-// itself an Option.
-type Config struct {
-	// Machine configures the simulated platform; zero values select the
-	// paper's testbed (93 MiB usable PRM, 8 MiB LLC).
-	Machine sgx.Config
-	// RPCWorkers sizes the untrusted worker pool (default 2).
-	RPCWorkers int
-	// CATWays reserves this many LLC ways for the RPC workers via cache
-	// allocation technology, protecting the enclave's share from I/O
-	// buffer pollution. 0 disables partitioning; the paper uses 4 of 16
-	// (a 25%/75% split).
-	CATWays int
-	// RPCRing is the total RPC queue capacity, split across the worker
-	// ring shards (default 256).
-	RPCRing int
-	// AutoTune enables the self-tuning controller: the pool starts at
-	// Tune.MinWorkers, RPCWorkers is ignored, and serving loops drive
-	// adaptation via Ctx.Pump. Prefer WithWorkerBounds / WithAutoTune.
-	AutoTune bool
-	// Tune is the controller policy when AutoTune is set; zero fields
-	// take the tune package defaults.
-	Tune TunePolicy
-	// FleetBalloon enables the fleet-scale adaptive EPC++ balloon
-	// controller: every enclave the runtime creates is registered as a
-	// tenant, and the controller rebalances PRM shares from live demand
-	// as serving loops drive Ctx.Pump. Prefer WithFleetBalloon.
-	FleetBalloon bool
-	// Fleet is the controller policy when FleetBalloon is set; zero
-	// fields take the fleet package defaults.
-	Fleet FleetPolicy
-
-	// Option bookkeeping for the mutual-exclusion check: which of the
-	// conflicting knobs the caller actually spelled out.
-	fixedWorkers  bool
-	tuneRequested bool
-}
-
-// DefaultConfig returns the paper's configuration: two RPC workers and
-// the 25%/75% CAT split.
-func DefaultConfig() Config {
-	return Config{RPCWorkers: 2, CATWays: 4}
-}
-
 // Runtime owns one simulated machine and its untrusted Eleos runtime.
 type Runtime struct {
 	plat  *sgx.Platform
@@ -217,68 +167,64 @@ type Runtime struct {
 	enclaves []*Enclave
 }
 
-// NewRuntime builds the machine and starts the RPC worker pool. With no
-// arguments it uses DefaultConfig; otherwise the options are applied in
-// order. Passing a Config value (itself an Option) replaces the whole
-// configuration, preserving the pre-options call sites:
+// NewRuntime builds the machine and starts the RPC worker pool. The
+// options are applied in order over the paper's defaults: two RPC
+// workers and the 25%/75% CAT split.
 //
-//	rt, _ := eleos.NewRuntime(eleos.DefaultConfig())        // classic
-//	rt, _ := eleos.NewRuntime(eleos.WithRPCWorkers(4))      // options
+//	rt, _ := eleos.NewRuntime()                             // the paper's defaults
+//	rt, _ := eleos.NewRuntime(eleos.WithRPCWorkers(4))      // a larger fixed pool
 //	rt, _ := eleos.NewRuntime(eleos.WithWorkerBounds(1, 8)) // self-tuning
+//
+// An option value out of range makes NewRuntime fail with an error
+// that names the option.
 func NewRuntime(opts ...Option) (*Runtime, error) {
-	cfg := DefaultConfig()
+	cfg := config{catWays: 4}
 	for _, o := range opts {
-		o.applyOption(&cfg)
+		o(&cfg)
 	}
-	if cfg.fixedWorkers && cfg.tuneRequested {
+	switch {
+	case cfg.workers != 0 && cfg.autoTune:
 		return nil, ErrConflictingOptions
+	case cfg.workers < 0:
+		return nil, fmt.Errorf("eleos: WithRPCWorkers(%d): negative worker count", cfg.workers)
+	case cfg.ring < 0:
+		return nil, fmt.Errorf("eleos: WithRPCRing(%d): negative ring capacity", cfg.ring)
 	}
-	if cfg.RPCWorkers == 0 {
-		cfg.RPCWorkers = 2
-	}
-	if cfg.RPCRing == 0 {
-		cfg.RPCRing = 256
-	}
-	workers := cfg.RPCWorkers
-	if cfg.AutoTune {
+	workers, ring := cmp.Or(cfg.workers, 2), cmp.Or(cfg.ring, 256)
+	if cfg.autoTune {
 		// A self-tuning pool starts at the lower bound and earns its
 		// workers from the load.
-		workers = cfg.Tune.MinWorkers
-		if workers == 0 {
-			workers = 1
-		}
+		workers = cmp.Or(cfg.tune.MinWorkers, 1)
 	}
-	plat, err := sgx.NewPlatform(cfg.Machine)
+	plat, err := sgx.NewPlatform(cfg.machine)
 	if err != nil {
 		return nil, fmt.Errorf("eleos: building platform: %w", err)
 	}
-	if cfg.CATWays > 0 {
-		plat.LLC.EnablePartitioning(cfg.CATWays)
+	if ways := plat.LLC.Ways(); cfg.catWays < 0 || cfg.catWays >= ways {
+		return nil, fmt.Errorf("eleos: WithCATWays(%d): want 0..%d on a %d-way LLC", cfg.catWays, ways-1, ways)
 	}
-	pool := rpc.NewPool(plat, workers, cfg.RPCRing)
-	pool.Start()
+	if cfg.catWays > 0 {
+		plat.LLC.EnablePartitioning(cfg.catWays)
+	}
+	// Everything that can fail is built before the workers start, so a
+	// failure leaves nothing running.
+	pool := rpc.NewPool(plat, workers, ring)
 	io, err := exitio.NewEngine(exitio.ModeRPCAsync, pool)
 	if err != nil {
-		pool.Stop()
 		return nil, fmt.Errorf("eleos: building I/O engine: %w", err)
 	}
 	rt := &Runtime{plat: plat, pool: pool, io: io}
-	if cfg.AutoTune {
-		tuner, err := tune.New(pool, io, cfg.Tune)
-		if err != nil {
-			pool.Stop()
+	if cfg.autoTune {
+		if rt.tuner, err = tune.New(pool, io, cfg.tune); err != nil {
 			return nil, fmt.Errorf("eleos: building autotuner: %w", err)
 		}
-		rt.tuner = tuner
 	}
-	if cfg.FleetBalloon {
-		fc, err := fleet.New(plat.Driver, cfg.Fleet)
-		if err != nil {
-			pool.Stop()
+	if cfg.balloon {
+		if rt.fleet, err = fleet.New(plat.Driver, cfg.fleet); err != nil {
 			return nil, fmt.Errorf("eleos: building fleet controller: %w", err)
 		}
-		rt.fleet = fc
 	}
+	pool.Start()
 	return rt, nil
 }
 
@@ -323,23 +269,18 @@ func (r *Runtime) NewFS() *FS { return fsim.NewFS(r.plat) }
 // EnclaveConfig describes one enclave with its SUVM heap.
 type EnclaveConfig struct {
 	// PageCacheBytes sizes EPC++ (required). Keep it under the PRM
-	// share reported by the driver, run a swapper (SwapperInterval /
-	// ManualSwapper) to balloon it against driver pressure, or build
-	// the runtime with WithFleetBalloon to have the fleet controller
-	// size it from demand.
+	// share reported by the driver, run the swapper to balloon it
+	// against driver pressure, or build the runtime with
+	// WithFleetBalloon to have the fleet controller size it from demand.
 	PageCacheBytes uint64
-	// Heap carries further SUVM tuning; PageCacheBytes above overrides
-	// its field of the same name.
+	// Heap carries further SUVM tuning (page size, eviction policy);
+	// PageCacheBytes above overrides its field of the same name.
 	Heap suvm.Config
-	// SwapperInterval, when non-zero, starts the background swapper
-	// thread that re-balloons EPC++ against driver-reported PRM
-	// pressure at this period.
-	SwapperInterval time.Duration
-	// ManualSwapper creates the swapper in manual mode instead: no
-	// background goroutine, ticks happen only via Enclave.Swapper().
-	// TickNow() — the deterministic choice for benchmarks and tests.
-	// Mutually exclusive with SwapperInterval (manual wins).
-	ManualSwapper bool
+	// Swapper runs the §3.2.3 swapper on virtual time: once per epoch
+	// of a pumping context's clock, Ctx.Pump balloons EPC++ against the
+	// driver-reported PRM share and tops up the free frame pool, on the
+	// swapper's own thread.
+	Swapper bool
 }
 
 // Enclave is a simulated enclave with an attached SUVM heap. It hosts
@@ -350,7 +291,7 @@ type Enclave struct {
 	rt      *Runtime
 	encl    *sgx.Enclave
 	heap    *suvm.Heap
-	swapper *suvm.Swapper
+	swapper *suvm.Swapper // nil unless EnclaveConfig.Swapper
 
 	// services is the carved-service registry, guarded by rt.mu like the
 	// enclave registry itself.
@@ -360,17 +301,8 @@ type Enclave struct {
 }
 
 // NewEnclave creates an enclave and its SUVM heap. The heap's frame
-// pool is pinned using a temporary setup thread. Enclave options are
-// applied over cfg in order:
-//
-//	encl, _ := rt.NewEnclave(eleos.EnclaveConfig{PageCacheBytes: 32 << 20},
-//		eleos.WithEvictionPolicy(eleos.PolicyFIFO),
-//		eleos.WithManualSwapper(),
-//	)
-func (r *Runtime) NewEnclave(cfg EnclaveConfig, opts ...EnclaveOption) (*Enclave, error) {
-	for _, o := range opts {
-		o.applyEnclaveOption(&cfg)
-	}
+// pool is pinned using a temporary setup thread.
+func (r *Runtime) NewEnclave(cfg EnclaveConfig) (*Enclave, error) {
 	if cfg.PageCacheBytes != 0 {
 		cfg.Heap.PageCacheBytes = cfg.PageCacheBytes
 	}
@@ -387,11 +319,8 @@ func (r *Runtime) NewEnclave(cfg EnclaveConfig, opts ...EnclaveOption) (*Enclave
 		return nil, err
 	}
 	e := &Enclave{rt: r, encl: encl, heap: heap}
-	switch {
-	case cfg.ManualSwapper:
+	if cfg.Swapper {
 		e.swapper = heap.NewSwapper()
-	case cfg.SwapperInterval > 0:
-		e.swapper = heap.StartSwapper(cfg.SwapperInterval)
 	}
 	r.mu.Lock()
 	r.enclaves = append(r.enclaves, e)
@@ -402,10 +331,10 @@ func (r *Runtime) NewEnclave(cfg EnclaveConfig, opts ...EnclaveOption) (*Enclave
 	return e, nil
 }
 
-// Destroy stops the swapper, waits for in-flight SUVM faults to drain,
-// and tears the enclave down (all carved services with it). Idempotent
-// and safe to race with itself: exactly one caller performs the
-// teardown, later and concurrent calls return immediately.
+// Destroy waits for in-flight SUVM faults to drain and tears the
+// enclave down (all carved services with it). Idempotent and safe to
+// race with itself: exactly one caller performs the teardown, later and
+// concurrent calls return immediately.
 func (e *Enclave) Destroy() {
 	if !e.destroyed.CompareAndSwap(false, true) {
 		return
@@ -421,10 +350,6 @@ func (e *Enclave) Destroy() {
 	if e.rt.fleet != nil {
 		e.rt.fleet.Unregister(e.heap)
 	}
-	if e.swapper != nil {
-		e.swapper.Stop()
-		e.swapper = nil
-	}
 	// Let faults that already entered the pipeline (any service's or the
 	// root's) finish against live EPC++ before the pages are torn down.
 	e.heap.Quiesce()
@@ -436,11 +361,6 @@ func (e *Enclave) Raw() *sgx.Enclave { return e.encl }
 
 // Heap exposes the enclave's SUVM heap.
 func (e *Enclave) Heap() *suvm.Heap { return e.heap }
-
-// Swapper exposes the enclave's EPC++ swapper (nil unless the enclave
-// was configured with ManualSwapper or SwapperInterval). In manual mode
-// call TickNow to balloon and reclaim at deterministic points.
-func (e *Enclave) Swapper() *Swapper { return e.swapper }
 
 // NewSegment allocates inter-enclave shared secure memory on the
 // runtime's machine; mount it with Ctx.Attach. pageSize must match the

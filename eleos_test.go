@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
+
+	"eleos/internal/epoch"
 )
 
 func newRuntime(t testing.TB) *Runtime {
 	t.Helper()
-	rt, err := NewRuntime(DefaultConfig())
+	rt, err := NewRuntime()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestSegmentTransferViaFacade(t *testing.T) {
 }
 
 func TestRuntimeAccessorsAndDefaults(t *testing.T) {
-	rt, err := NewRuntime(Config{}) // zero config: defaults fill in
+	rt, err := NewRuntime() // no options: defaults fill in
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,31 +218,72 @@ func TestRuntimeAccessorsAndDefaults(t *testing.T) {
 	}
 }
 
+// TestBackgroundSwapperViaFacade pumps an enclave's swapper through
+// Ctx.Pump, one epoch of the context's clock per pump: EPC++ stays at
+// full size alone, deflates when a second enclave halves the PRM share
+// and re-inflates when that enclave leaves.
 func TestBackgroundSwapperViaFacade(t *testing.T) {
 	rt := newRuntime(t)
 	// 40MB fits a lone enclave's share of the 93MB PRM, but not half
 	// of it once a second enclave arrives.
-	encl, err := rt.NewEnclave(EnclaveConfig{
-		PageCacheBytes:  40 << 20,
-		SwapperInterval: 5 * time.Millisecond,
-	})
+	encl, err := rt.NewEnclave(EnclaveConfig{PageCacheBytes: 40 << 20, Swapper: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer encl.Destroy()
+	ctx := encl.NewContext()
+	defer ctx.Close()
+	pumpUntil := func(cond func() bool, what string) {
+		for i := 0; !cond(); i++ {
+			if i == 8 {
+				t.Fatalf("no %s after %d pumped epochs (frames=%d)", what, i, encl.Heap().ActiveFrames())
+			}
+			ctx.Thread().T.Charge(epoch.DefaultEvery)
+			ctx.Pump()
+		}
+	}
+	full := int((40 << 20) / 4096)
+	pumpUntil(func() bool { return encl.Heap().ActiveFrames() == full }, "full size")
 	e2, err := rt.NewEnclave(EnclaveConfig{PageCacheBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Destroy()
-	full := int((40 << 20) / 4096)
-	deadline := time.Now().Add(2 * time.Second)
-	for encl.Heap().ActiveFrames() >= full {
-		if time.Now().After(deadline) {
-			t.Fatalf("swapper never deflated (frames=%d)", encl.Heap().ActiveFrames())
-		}
-		time.Sleep(2 * time.Millisecond)
+	pumpUntil(func() bool { return encl.Heap().ActiveFrames() < full }, "deflation")
+	e2.Destroy()
+	pumpUntil(func() bool { return encl.Heap().ActiveFrames() == full }, "re-inflation")
+}
+
+// TestOffEpochPumpIsFree checks that with the tuner, the fleet
+// controller and the swapper all enabled, a Ctx.Pump that crosses no
+// epoch boundary allocates nothing and charges the context nothing:
+// serving loops call it once per request.
+func TestOffEpochPumpIsFree(t *testing.T) {
+	rt, err := NewRuntime(WithWorkerBounds(1, 4), WithFleetBalloon(FleetPolicy{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	encl.Destroy() // stops the swapper
+	defer rt.Close()
+	encl, err := rt.NewEnclave(EnclaveConfig{PageCacheBytes: 8 << 20, Swapper: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer encl.Destroy()
+	ctx := encl.NewContext()
+	defer ctx.Close()
+	ctx.IO()
+	ctx.Pump() // the first pump starts every epoch clock
+	before := ctx.Cycles()
+	allocs := testing.AllocsPerRun(100, func() {
+		if ctx.Pump() {
+			t.Fatal("an epoch fired on a context whose clock did not move")
+		}
+	})
+	if got := ctx.Cycles(); got != before {
+		t.Fatalf("off-epoch pumps charged the context %d cycles", got-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("off-epoch Pump allocates %.1f times", allocs)
+	}
 }
 
 func TestHeapConfigPassthrough(t *testing.T) {

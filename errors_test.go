@@ -2,8 +2,10 @@ package eleos
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"eleos/internal/cache"
 	"eleos/internal/mckv"
 )
 
@@ -351,4 +353,42 @@ func TestPoolStoppedAfterClose(t *testing.T) {
 		}()
 		ctx.Go(func(h *HostCtx) {})
 	}()
+}
+
+// TestNewRuntimeRejectsBadOptions walks option values out of range:
+// NewRuntime must fail with an error naming the option instead of
+// panicking or silently coercing the value. The in-range edges next to
+// them must still build.
+func TestNewRuntimeRejectsBadOptions(t *testing.T) {
+	eightWay := WithMachine(MachineConfig{LLC: cache.Config{SizeBytes: 8 << 20, Ways: 8}})
+	cases := []struct {
+		name string
+		opts []Option
+		want string // substring of the error; "" means NewRuntime succeeds
+	}{
+		{"CAT ways = LLC ways", []Option{WithCATWays(16)}, "WithCATWays(16)"},
+		{"CAT ways beyond LLC ways", []Option{WithCATWays(40)}, "WithCATWays(40)"},
+		{"negative CAT ways", []Option{WithCATWays(-1)}, "WithCATWays(-1)"},
+		{"CAT ways on a smaller LLC", []Option{eightWay, WithCATWays(8)}, "8-way LLC"},
+		{"negative workers", []Option{WithRPCWorkers(-3)}, "WithRPCWorkers(-3)"},
+		{"negative ring", []Option{WithRPCRing(-1)}, "WithRPCRing(-1)"},
+		{"largest CAT split", []Option{WithCATWays(15)}, ""},
+		{"largest CAT split on a smaller LLC", []Option{eightWay, WithCATWays(7)}, ""},
+		{"CAT off", []Option{WithCATWays(0)}, ""},
+		{"default workers and ring", []Option{WithRPCWorkers(0), WithRPCRing(0)}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := NewRuntime(tc.opts...)
+			if err == nil {
+				rt.Close()
+			}
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("NewRuntime failed: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
 }

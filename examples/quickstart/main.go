@@ -15,7 +15,7 @@ func main() {
 	// A machine with 93MiB of usable PRM, plus the Eleos untrusted
 	// runtime: four RPC workers (each with its own ring shard) behind a
 	// 25%/75% LLC partition. eleos.NewRuntime() alone gives the paper's
-	// defaults; eleos.NewRuntime(eleos.DefaultConfig()) still works too.
+	// defaults: two workers and the same partition.
 	rt, err := eleos.NewRuntime(
 		eleos.WithRPCWorkers(4),
 		eleos.WithCATWays(4),

@@ -4,7 +4,8 @@
 // enough consecutive votes for the same outcome, and a bounded decision
 // trace. It also holds the defaults and the validation of the
 // grow/shrink hysteresis pair. Each controller adds only its signal
-// function and its actuator.
+// function and its actuator. The SUVM swapper uses the clock alone: it
+// ticks once per epoch, with no vote.
 //
 // The kernel takes no lock. Each piece is a plain value inside its
 // controller, guarded by that controller's own mutex, so the kernel adds

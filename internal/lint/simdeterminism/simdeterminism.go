@@ -17,8 +17,9 @@
 //     (commutative accumulation only) or the loop merely collects keys
 //     that a later statement in the same block sorts ["maprange"].
 //
-// A finding on a deliberate exception (e.g. the wall-clock swapper
-// mode) is suppressed with "//eleos:allow CHECK -- reason".
+// A finding on a deliberate exception (e.g. an order-insensitive map
+// range the analyzer cannot prove so) is suppressed with
+// "//eleos:allow CHECK -- reason".
 package simdeterminism
 
 import (

@@ -3,8 +3,8 @@ package suvm
 import (
 	"fmt"
 	"sync"
-	"time"
 
+	"eleos/internal/epoch"
 	"eleos/internal/phys"
 	"eleos/internal/sgx"
 )
@@ -306,76 +306,56 @@ func (h *Heap) BalloonSignal() BalloonSignal {
 // Swapper is the EPC++ swapper of §3.2.3: a dedicated enclave thread
 // that re-balloons the page cache in response to driver-reported PRM
 // pressure and tops up the free frame pool so application faults skip
-// the eviction work. It runs in one of two modes: wall-clock (built by
-// StartSwapper, a background goroutine ticking at a fixed interval —
-// the server deployment) or manual (built by NewSwapper; the owner
-// calls TickNow at points of its choosing, keeping benchmarks and tests
-// deterministic — no host timer races the measured run).
+// the eviction work. It runs on virtual time: Pump ticks it once per
+// epoch of the pumping thread's clock, and TickNow ticks it at once. No
+// host timer ever drives it, so a run that ticks it replays exactly.
 type Swapper struct {
 	h  *Heap
 	th *sgx.Thread
 	//eleos:lockorder 1
-	mu sync.Mutex // serializes ticks (background loop vs TickNow)
-
-	stop chan struct{} // nil in manual mode
-	done sync.WaitGroup
+	mu    sync.Mutex // serializes ticks and guards clock
+	clock epoch.Clock
 }
 
 // freePoolFraction is the share of EPC++ the swapper keeps free.
 const freePoolFraction = 32 // 1/32 ≈ 3%
 
-// NewSwapper creates a manual-mode swapper: no background goroutine,
-// ticks happen only when the owner calls TickNow.
+// NewSwapper creates the heap's swapper with its own enclave thread.
 func (h *Heap) NewSwapper() *Swapper {
-	return &Swapper{h: h, th: h.encl.NewThread()}
+	return &Swapper{h: h, th: h.encl.NewThread(), clock: epoch.Clock{Every: epoch.DefaultEvery}}
 }
 
-// StartSwapper launches the background swapper with the given wall-clock
-// polling interval. The returned Swapper must be stopped before the
-// heap's enclave is destroyed.
-func (h *Heap) StartSwapper(interval time.Duration) *Swapper {
-	s := h.NewSwapper()
-	s.stop = make(chan struct{})
-	s.done.Add(1)
-	go func() {
-		defer s.done.Done()
-		//eleos:allow wallclock -- StartSwapper IS the wall-clock mode; deterministic runs use NewSwapper+TickNow
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.TickNow()
-			}
-		}
-	}()
-	return s
+// Pump ticks the swapper when th's virtual clock has crossed an epoch
+// boundary (epoch.DefaultEvery cycles) since the last tick; the first
+// Pump only starts the clock. The tick runs on the swapper's own thread,
+// so th is charged nothing. Off-epoch it is one clock comparison under
+// the mutex. Returns whether it ticked.
+func (s *Swapper) Pump(th *sgx.Thread) bool {
+	now := th.T.Cycles()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tick, _ := s.clock.Tick(now); tick != epoch.Fire {
+		return false
+	}
+	s.tickLocked()
+	return true
 }
 
-// TickNow runs one synchronous swapper tick: balloon EPC++ against the
-// driver-reported PRM share, then top up the free frame pool. Safe to
-// call concurrently with application faults and with the background
-// loop (ticks serialize).
+// TickNow runs one synchronous swapper tick. Safe to call concurrently
+// with application faults and with Pump (ticks serialize).
 func (s *Swapper) TickNow() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.tickLocked()
+}
+
+// tickLocked balloons EPC++ against the driver-reported PRM share, then
+// tops up the free frame pool, on the swapper's thread with s.mu held.
+func (s *Swapper) tickLocked() {
 	s.th.Enter()
 	// Best effort: a transiently pinned frame may block a shrink; the
 	// next tick retries.
 	_ = s.h.BalloonTick(s.th)
 	s.h.ReclaimFreePool(s.th, s.h.ActiveFrames()/freePoolFraction)
 	s.th.Exit()
-}
-
-// Stop terminates the background loop and waits for it to finish; a
-// no-op for manual-mode swappers.
-func (s *Swapper) Stop() {
-	if s.stop == nil {
-		return
-	}
-	close(s.stop)
-	s.done.Wait()
-	s.stop = nil
 }

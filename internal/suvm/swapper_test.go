@@ -2,37 +2,46 @@ package suvm
 
 import (
 	"testing"
-	"time"
+
+	"eleos/internal/epoch"
 )
 
+// TestBackgroundSwapperDeflatesUnderPressure pumps the swapper from a
+// serving thread whose clock advances one epoch per pump, as Ctx.Pump
+// does: it balloons EPC++ down when a second enclave halves the PRM
+// share and back up when that enclave leaves, and never charges the
+// pumping thread.
 func TestBackgroundSwapperDeflatesUnderPressure(t *testing.T) {
 	e := newEnv(t, Config{PageCacheBytes: 16 << 20, BackingBytes: 64 << 20})
-	sw := e.h.StartSwapper(5 * time.Millisecond)
-	defer sw.Stop()
-
-	// Initially the single enclave keeps its full configuration.
-	deadline := time.Now().Add(2 * time.Second)
-	waitFor := func(cond func() bool, what string) {
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timeout waiting for %s (frames=%d)", what, e.h.ActiveFrames())
+	sw := e.h.NewSwapper()
+	server := e.encl.NewThread()
+	pumpUntil := func(cond func() bool, what string) {
+		for i := 0; !cond(); i++ {
+			if i == 8 {
+				t.Fatalf("no %s after %d pumped epochs (frames=%d)", what, i, e.h.ActiveFrames())
 			}
-			time.Sleep(2 * time.Millisecond)
+			server.T.Charge(epoch.DefaultEvery)
+			before := server.T.Cycles()
+			sw.Pump(server)
+			if got := server.T.Cycles(); got != before {
+				t.Fatalf("Pump charged the pumping thread %d cycles", got-before)
+			}
 		}
 	}
+	// Initially the single enclave keeps its full configuration.
 	full := int((16 << 20) / 4096)
-	waitFor(func() bool { return e.h.ActiveFrames() == full }, "full size")
+	pumpUntil(func() bool { return e.h.ActiveFrames() == full }, "full size")
 
 	// A second enclave halves the PRM share; the swapper must deflate.
 	e2, err := e.plat.NewEnclave()
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(func() bool { return e.h.ActiveFrames() < full }, "deflation")
+	pumpUntil(func() bool { return e.h.ActiveFrames() < full }, "deflation")
 
 	// And re-inflate after the pressure goes away.
 	e2.Destroy()
-	waitFor(func() bool { return e.h.ActiveFrames() == full }, "re-inflation")
+	pumpUntil(func() bool { return e.h.ActiveFrames() == full }, "re-inflation")
 }
 
 func TestReclaimFreePoolMovesEvictionOffFaultPath(t *testing.T) {

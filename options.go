@@ -1,47 +1,45 @@
 package eleos
 
-import (
-	"time"
-
-	"eleos/internal/sgx"
-)
+import "eleos/internal/sgx"
 
 // MachineConfig configures the simulated SGX platform (PRM size, LLC
 // geometry, cost model); the zero value selects the paper's testbed.
 type MachineConfig = sgx.Config
 
-// Option configures a Runtime. Options are applied in order over
-// DefaultConfig, so later options win. A Config value is itself an
-// Option (it replaces the whole configuration), which keeps the
-// original NewRuntime(cfg Config) call sites compiling unchanged:
+// Option configures a Runtime. NewRuntime applies the options in order
+// over the paper's defaults (two RPC workers, a 4-of-16-way CAT split),
+// so later options win:
 //
 //	rt, _ := eleos.NewRuntime(
 //		eleos.WithRPCWorkers(4),
 //		eleos.WithCATWays(4),
 //	)
-type Option interface {
-	applyOption(*Config)
+type Option func(*config)
+
+// config is what the options build: NewRuntime's input.
+type config struct {
+	machine sgx.Config
+	// workers is the fixed pool size; 0 keeps the default of 2.
+	workers int
+	catWays int
+	// ring is the total RPC queue capacity; 0 keeps the default of 256.
+	ring int
+	// autoTune and balloon switch the two controllers on; tune and
+	// fleet are their policies.
+	autoTune bool
+	tune     TunePolicy
+	balloon  bool
+	fleet    FleetPolicy
 }
-
-// applyOption makes Config an Option: passing a Config replaces the
-// entire configuration, exactly like the pre-options NewRuntime(cfg).
-func (c Config) applyOption(dst *Config) { *dst = c }
-
-type optionFunc func(*Config)
-
-func (f optionFunc) applyOption(c *Config) { f(c) }
 
 // WithRPCWorkers sizes the untrusted RPC worker pool (and with it the
 // number of ring shards) as a fixed pool: autotuning stays disabled and
-// the pool never changes size. Mutually exclusive with WithWorkerBounds
-// and WithAutoTune — combining them makes NewRuntime fail with
-// ErrConflictingOptions, in either order.
+// the pool never changes size. A positive n is mutually exclusive with
+// WithWorkerBounds and WithAutoTune — combining them makes NewRuntime
+// fail with ErrConflictingOptions, in either order. 0 keeps the default
+// of 2 and conflicts with nothing; a negative n makes NewRuntime fail.
 func WithRPCWorkers(n int) Option {
-	return optionFunc(func(c *Config) {
-		c.RPCWorkers = n
-		c.AutoTune = false
-		c.fixedWorkers = true
-	})
+	return func(c *config) { c.workers = n }
 }
 
 // WithWorkerBounds enables the self-tuning controller with the default
@@ -49,12 +47,10 @@ func WithRPCWorkers(n int) Option {
 // the controller grows and shrinks it inside [min, max] as the offered
 // load shifts. Mutually exclusive with WithRPCWorkers.
 func WithWorkerBounds(min, max int) Option {
-	return optionFunc(func(c *Config) {
-		c.AutoTune = true
-		c.Tune.MinWorkers = min
-		c.Tune.MaxWorkers = max
-		c.tuneRequested = true
-	})
+	return func(c *config) {
+		c.autoTune = true
+		c.tune.MinWorkers, c.tune.MaxWorkers = min, max
+	}
 }
 
 // WithAutoTune enables the self-tuning controller with an explicit
@@ -62,11 +58,7 @@ func WithWorkerBounds(min, max int) Option {
 // exactly WithWorkerBounds(1, 8)). Mutually exclusive with
 // WithRPCWorkers.
 func WithAutoTune(p TunePolicy) Option {
-	return optionFunc(func(c *Config) {
-		c.AutoTune = true
-		c.Tune = p
-		c.tuneRequested = true
-	})
+	return func(c *config) { c.autoTune, c.tune = true, p }
 }
 
 // WithFleetBalloon enables the fleet-scale adaptive EPC++ balloon
@@ -77,71 +69,29 @@ func WithAutoTune(p TunePolicy) Option {
 // instead of leaving every enclave chasing the static even split. A zero
 // EpochCycles takes the default epoch.
 func WithFleetBalloon(p FleetPolicy) Option {
-	return optionFunc(func(c *Config) {
-		c.FleetBalloon = true
-		c.Fleet = p
-	})
+	return func(c *config) { c.balloon, c.fleet = true, p }
 }
 
 // WithCATWays reserves n LLC ways for the RPC workers via cache
-// allocation technology; 0 disables partitioning.
+// allocation technology, protecting the enclave's share from I/O
+// buffer pollution; 0 disables partitioning. The default is the
+// paper's 4 of 16 (a 25%/75% split). n must leave the enclave at least
+// one way, or NewRuntime fails.
 func WithCATWays(n int) Option {
-	return optionFunc(func(c *Config) { c.CATWays = n })
+	return func(c *config) { c.catWays = n }
 }
 
-// WithMachine selects the simulated machine.
+// WithMachine selects the simulated machine; the zero MachineConfig is
+// the paper's testbed (93 MiB usable PRM, 8 MiB LLC).
 func WithMachine(m MachineConfig) Option {
-	return optionFunc(func(c *Config) { c.Machine = m })
+	return func(c *config) { c.machine = m }
 }
 
 // WithRPCRing overrides the total RPC queue capacity, split across the
-// worker shards (0 keeps the default of 256 slots).
+// worker shards (0 keeps the default of 256 slots; a negative capacity
+// makes NewRuntime fail).
 func WithRPCRing(capacity int) Option {
-	return optionFunc(func(c *Config) { c.RPCRing = capacity })
-}
-
-// EnclaveOption configures one enclave (its SUVM heap and swapper) in
-// NewEnclave, applied in order over the EnclaveConfig argument.
-type EnclaveOption interface {
-	applyEnclaveOption(*EnclaveConfig)
-}
-
-type enclaveOptionFunc func(*EnclaveConfig)
-
-func (f enclaveOptionFunc) applyEnclaveOption(c *EnclaveConfig) { f(c) }
-
-// WithEvictionPolicy selects the EPC++ eviction policy (§3.2.4 — SUVM
-// exposes the policy to the application; default PolicyClock).
-func WithEvictionPolicy(p EvictionPolicy) EnclaveOption {
-	return enclaveOptionFunc(func(c *EnclaveConfig) { c.Heap.Policy = p })
-}
-
-// WithPageCache sizes EPC++ in bytes.
-func WithPageCache(n uint64) EnclaveOption {
-	return enclaveOptionFunc(func(c *EnclaveConfig) { c.PageCacheBytes = n })
-}
-
-// WithSUVMPageSize sets the EPC++ page size (power of two, 512..64 KiB).
-func WithSUVMPageSize(n int) EnclaveOption {
-	return enclaveOptionFunc(func(c *EnclaveConfig) { c.Heap.PageSize = n })
-}
-
-// WithSwapperInterval starts the background swapper thread at the given
-// wall-clock period.
-func WithSwapperInterval(d time.Duration) EnclaveOption {
-	return enclaveOptionFunc(func(c *EnclaveConfig) {
-		c.SwapperInterval = d
-		c.ManualSwapper = false
-	})
-}
-
-// WithManualSwapper creates the swapper in manual (deterministic) mode:
-// no background goroutine; drive it with Enclave.Swapper().TickNow().
-func WithManualSwapper() EnclaveOption {
-	return enclaveOptionFunc(func(c *EnclaveConfig) {
-		c.ManualSwapper = true
-		c.SwapperInterval = 0
-	})
+	return func(c *config) { c.ring = capacity }
 }
 
 // ServiceOption configures one carved service in Enclave.NewService,
