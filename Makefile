@@ -16,10 +16,12 @@
 #                  traffic experiment at smoke size and compare against
 #                  the checked-in baseline with cmd/perfdiff; fails on
 #                  a significant regression or a shape change. Then
-#                  regenerate the two controller artifacts and the
-#                  consolidation experiment (BENCH_selftune.json,
-#                  BENCH_fleet.json, BENCH_consolidation.json) and fail
-#                  unless each is byte-identical to the checked-in file
+#                  regenerate the two controller artifacts, the
+#                  consolidation experiment and the RPC submission-mode
+#                  experiment (BENCH_selftune.json, BENCH_fleet.json,
+#                  BENCH_consolidation.json, BENCH_rpc_async.json) and
+#                  fail unless each is byte-identical to the checked-in
+#                  file
 #   make bench-gate-baseline
 #                — regenerate the checked-in bench-gate baseline (run
 #                  after a deliberate performance or schema change)
@@ -35,13 +37,14 @@ BIN ?= bin
 GATE_FLAGS = -quick -ops 5000 -runs 3 -run traffic
 GATE_BASELINE = testdata/bench-gate
 
-# The controller experiments and the consolidation experiment print
-# only virtual-cycle figures and decision counts, so they regenerate
-# byte-identical on unchanged code: the gate compares them exactly.
-# Consolidation builds through eleos.NewRuntime, so it also pins how
-# the public runtime is constructed. A deliberate change regenerates
-# them with `make bench`.
-GATE_EXACT = BENCH_selftune.json BENCH_fleet.json BENCH_consolidation.json
+# The controller experiments, the consolidation experiment and the RPC
+# submission-mode experiment print only virtual-cycle figures, decision
+# counts and queue depths, so they regenerate byte-identical on
+# unchanged code: the gate compares them exactly. Consolidation builds
+# through eleos.NewRuntime, so it also pins how the public runtime is
+# constructed; rpc-async pins where the RPC pool places each call. A
+# deliberate change regenerates them with `make bench`.
+GATE_EXACT = BENCH_selftune.json BENCH_fleet.json BENCH_consolidation.json BENCH_rpc_async.json
 
 .PHONY: check fmt vet build test race bench bench-gate bench-gate-baseline lint eleoslint staticcheck
 
@@ -94,7 +97,7 @@ bench-gate:
 	$(GO) build -o $(BIN)/perfdiff ./cmd/perfdiff
 	$(GO) run ./cmd/eleos-bench $(GATE_FLAGS) -json $(BIN)/gate >/dev/null
 	./$(BIN)/perfdiff $(GATE_BASELINE)/BENCH_traffic.json $(BIN)/gate/BENCH_traffic.json
-	$(GO) run ./cmd/eleos-bench -quick -run selftune,fleet,consolidation -json $(BIN)/gate >/dev/null
+	$(GO) run ./cmd/eleos-bench -quick -run selftune,fleet,consolidation,rpc-async -json $(BIN)/gate >/dev/null
 	@for f in $(GATE_EXACT); do \
 		cmp $$f $(BIN)/gate/$$f || { echo "bench-gate: $$f differs from the checked-in file" >&2; exit 1; }; \
 	done

@@ -71,7 +71,7 @@ func main() {
 	fut.Wait()
 
 	// And the batched variant: one amortized submission for a burst of
-	// calls, spread across the worker pool by work stealing.
+	// calls, spread across the worker pool one call per ring.
 	ctx.ExitlessBatch(
 		func(h *eleos.HostCtx) { h.Syscall(nil) },
 		func(h *eleos.HostCtx) { h.Syscall(nil) },

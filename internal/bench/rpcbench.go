@@ -21,15 +21,15 @@ const (
 // submission modes of the exit-less RPC engine — synchronous Call,
 // pipelined CallAsync, and CallBatch — across pool sizes, and then
 // sweeps the compute overlap available to a single async call to show
-// the residual-latency accounting at work. Queue-depth and steal
-// counters from Pool.Stats demonstrate the sharded rings rebalancing
-// the single caller's affinity shard across the pool.
+// the residual-latency accounting at work. The peak queue depth from
+// Pool.Stats shows how far the pipelined and batched submissions run
+// ahead of the workers.
 func runRPCAsync(rc RunConfig) (*Result, error) {
 	rc = rc.Normalize()
 	ops := rc.Ops
 
 	t1 := report.New("Caller throughput by submission mode (Kops/s, single caller)",
-		"workers", "sync", "async", "batch", "async/sync", "batch/sync", "peak depth", "steals")
+		"workers", "sync", "async", "batch", "async/sync", "batch/sync", "peak depth")
 	t1.Note = "async pipelines 2 calls/worker; batch submits bursts of 16; counters from async+batch pools"
 
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -43,7 +43,7 @@ func runRPCAsync(rc RunConfig) (*Result, error) {
 		t1.AddRow(workers,
 			syncTput/1e3, asyncTput/1e3, batchTput/1e3,
 			asyncTput/syncTput, batchTput/syncTput,
-			peak, asyncStats.Steals+batchStats.Steals)
+			peak)
 	}
 
 	t2 := report.New("Async latency hiding: cycles/op vs compute overlapped with one in-flight call (4 workers)",

@@ -90,6 +90,18 @@ func ParseMode(s string) (Mode, error) {
 // pool.
 func (m Mode) NeedsPool() bool { return m == ModeRPCSync || m == ModeRPCAsync }
 
+// check reports why an engine built with pool cannot dispatch in m: m
+// is not one of the four modes, or it needs a pool and pool is nil.
+func (m Mode) check(pool *rpc.Pool) error {
+	switch {
+	case m < ModeDirect || m > ModeRPCAsync:
+		return fmt.Errorf("exitio: unknown dispatch mode %d", int(m))
+	case m.NeedsPool() && pool == nil:
+		return fmt.Errorf("exitio: %s dispatch requires a worker pool", m)
+	}
+	return nil
+}
+
 // counters is one set of engine activity counters — atomics only, no
 // locks. The Engine embeds one for its aggregate view; a Group carries
 // another so co-resident services multiplexed on one engine keep
@@ -163,10 +175,10 @@ func (e *Engine) putChain(c *chain) {
 }
 
 // NewEngine builds an engine. pool is required for the RPC modes and
-// ignored otherwise.
+// ignored otherwise; an unknown mode is an error.
 func NewEngine(mode Mode, pool *rpc.Pool) (*Engine, error) {
-	if mode.NeedsPool() && pool == nil {
-		return nil, fmt.Errorf("exitio: %s dispatch requires a worker pool", mode)
+	if err := mode.check(pool); err != nil {
+		return nil, err
 	}
 	return &Engine{mode: mode, pool: pool}, nil
 }

@@ -71,6 +71,36 @@ func TestEngineRequiresPool(t *testing.T) {
 	}
 }
 
+// A mode outside ModeDirect..ModeRPCAsync is refused wherever it can
+// enter, with or without a pool, instead of building an engine or queue
+// that counts a doorbell and then completes nothing.
+func TestUnknownModeRejected(t *testing.T) {
+	e, eng := newEnv(t, exitio.ModeRPCSync)
+	for _, tc := range []struct {
+		name string
+		mode exitio.Mode
+	}{
+		{"negative", exitio.Mode(-1)},
+		{"one past the last", exitio.ModeRPCAsync + 1},
+		{"far out", exitio.Mode(9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, pool := range []*rpc.Pool{e.pool, nil} {
+				if _, err := exitio.NewEngine(tc.mode, pool); err == nil {
+					t.Fatalf("NewEngine(%d, with pool %v) succeeded; want an error", int(tc.mode), pool != nil)
+				}
+			}
+			q := eng.NewQueue()
+			if err := q.SetMode(e.th, tc.mode); err == nil {
+				t.Fatalf("SetMode(%d) succeeded; want an error", int(tc.mode))
+			}
+			if q.Mode() != exitio.ModeRPCSync {
+				t.Fatalf("refused SetMode changed the mode to %d", int(q.Mode()))
+			}
+		})
+	}
+}
+
 // All four modes complete a socket request/response pair with correct
 // typed completions. The pair is linked: a socket allows one in-flight
 // chain at a time, and two async chains may run on two workers at once.

@@ -111,13 +111,13 @@ func (q *Queue) Mode() Mode { return q.mode }
 // concurrently — so a token buffered by an already-collected completion
 // can never leak into a later async epoch and spuriously wake its
 // reaper. Returns an error (leaving the mode unchanged) if the new mode
-// needs an rpc pool the engine was built without.
+// is unknown or needs an rpc pool the engine was built without.
 func (q *Queue) SetMode(th *sgx.Thread, m Mode) error {
 	if m == q.mode {
 		return nil
 	}
-	if m.NeedsPool() && q.eng.pool == nil {
-		return fmt.Errorf("exitio: SetMode: %s dispatch requires a worker pool", m)
+	if err := m.check(q.eng.pool); err != nil {
+		return err
 	}
 	for q.pendLen() > 0 {
 		q.waitHead(th)

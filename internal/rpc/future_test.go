@@ -2,9 +2,11 @@ package rpc
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"eleos/internal/cycles"
 	"eleos/internal/sgx"
 )
 
@@ -109,27 +111,28 @@ func TestAsyncWaitPartialOverlap(t *testing.T) {
 	}
 }
 
-// A batch of W barrier calls on a W-worker pool must be spread across
-// all workers by stealing (the batch lands on one affinity shard), and
-// its amortized charge is one enqueue + (n-1) marginal enqueues + the
-// parallel makespan + one poll.
-func TestBatchSpreadsAcrossWorkersByStealing(t *testing.T) {
+// A batch of W barrier calls on a W-worker pool is spread across all
+// workers by placement (request i on the i-th ring from the caller's
+// shard), one call per worker, and its amortized charge is one enqueue
+// + (n-1) marginal enqueues + the parallel makespan + one poll.
+func TestBatchSpreadsAcrossWorkers(t *testing.T) {
 	plat, th, pool := newAsyncEnv(t, 4)
 	m := plat.Model
 
 	barrier := make(chan struct{})
-	arrived := make(chan struct{}, 4)
+	arrived := make(chan *sgx.Thread, 4)
 	fn := func(h *sgx.HostCtx) {
 		h.Syscall(nil)
-		arrived <- struct{}{}
+		arrived <- h.Thread()
 		<-barrier // hold this worker until all four are inside
 	}
 	fns := []func(*sgx.HostCtx){fn, fn, fn, fn}
 
+	ran := make(map[*sgx.Thread]int)
 	release := make(chan struct{})
 	go func() {
 		for i := 0; i < 4; i++ {
-			<-arrived
+			ran[<-arrived]++
 		}
 		close(barrier)
 		close(release)
@@ -151,13 +154,92 @@ func TestBatchSpreadsAcrossWorkersByStealing(t *testing.T) {
 	if st.Batches != 1 || st.BatchedCalls != 4 || st.Calls != 4 {
 		t.Fatalf("batch counters %+v", st)
 	}
-	// One request stays with the shard owner; the barrier forces the
-	// other three onto stealing siblings.
-	if st.Steals != 3 {
-		t.Fatalf("Steals = %d, want 3", st.Steals)
+	for i, w := range pool.Workers() {
+		if ran[w] != 1 {
+			t.Fatalf("worker %d ran %d of the batch's calls, want 1", i, ran[w])
+		}
 	}
 	if st.PeakQueueDepth < 1 {
 		t.Fatalf("PeakQueueDepth = %d, want >= 1", st.PeakQueueDepth)
+	}
+}
+
+// A request's worker is fixed when it is published: one caller's async
+// calls all run on its shard's worker, and batch request i on the i-th
+// worker after it. So the same program on fresh platforms leaves every
+// worker's clock at the same count, whichever goroutine ran each call
+// and whenever the workers polled; a worker taking calls from a
+// sibling's ring breaks both. Each call charges a distinct amount so a
+// misplaced call shows in the clocks. How often an idle worker is woken
+// depends on host timing, so the model's wake charge is zeroed.
+func TestPlacementIsDeterministic(t *testing.T) {
+	const workers, async, batch = 4, 32, 8
+	run := func() [workers]uint64 {
+		m := cycles.DefaultModel()
+		m.RPCWake = 0
+		plat, err := sgx.NewPlatform(sgx.Config{UsablePRMBytes: 8 << 20, Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encl, err := plat.NewEnclave()
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := encl.NewThread()
+		th.Enter()
+		pool := NewPool(plat, workers, 4*async)
+		pool.Start()
+		ws := pool.Workers()
+		s := shardOf(th, workers)
+
+		var mu sync.Mutex
+		ranOn := make([]*sgx.Thread, async+batch)
+		call := func(i int) func(*sgx.HostCtx) {
+			return func(h *sgx.HostCtx) {
+				h.Syscall(nil)
+				h.Thread().T.Charge(uint64(i))
+				mu.Lock()
+				ranOn[i] = h.Thread()
+				mu.Unlock()
+			}
+		}
+		futs := make([]*Future, async)
+		for i := range futs {
+			f, err := pool.CallAsync(th, call(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs[i] = f
+		}
+		fns := make([]func(*sgx.HostCtx), batch)
+		for i := range fns {
+			fns[i] = call(async + i)
+		}
+		if err := pool.CallBatch(th, fns); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range futs {
+			f.Wait(th)
+		}
+		pool.Stop()
+
+		for i, w := range ranOn {
+			want := ws[s]
+			if i >= async {
+				want = ws[(s+i-async)%workers]
+			}
+			if w != want {
+				t.Fatalf("call %d ran on thread %d, want worker thread %d", i, w.T.ID(), want.T.ID())
+			}
+		}
+		var clocks [workers]uint64
+		for k := range clocks {
+			clocks[k] = ws[(s+k)%workers].T.Cycles()
+		}
+		return clocks
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("worker clocks differ between identical runs: %v vs %v", a, b)
 	}
 }
 
@@ -280,7 +362,8 @@ func TestBackoffReachesSleepAndWakes(t *testing.T) {
 
 // The async and batched paths are as deterministic as the synchronous
 // one: identical programs on fresh platforms consume identical virtual
-// time, regardless of host scheduling, stealing order or wake timing.
+// time, regardless of host scheduling, which goroutine ran each call
+// or wake timing.
 func TestAsyncChargesDeterministic(t *testing.T) {
 	run := func() uint64 {
 		plat := newPlat(t)

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func TestRingDequeueThroughStopsAtTicket(t *testing.T) {
 	if got := r.dequeueThrough(tickets[1]); got != nil {
 		t.Fatalf("dequeueThrough past the limit returned %p", got)
 	}
-	if got := r.dequeue(); got != &reqs[2] {
+	if got := r.dequeueThrough(math.MaxUint64); got != &reqs[2] {
 		t.Fatalf("dequeue after the limit = %p, want %p", got, &reqs[2])
 	}
 }
@@ -143,8 +144,8 @@ func TestWakeChargeStaysOutOfHelpedCall(t *testing.T) {
 
 // TestStressExclusiveWorkerThreads mixes all three submission paths
 // from four enclave threads while the pool resizes 2→4→1 and then
-// stops. Whoever runs a call — the worker loop, a stealing sibling or a
-// waiting submitter — must have its worker's thread to itself: each
+// stops. Whoever runs a call — the worker loop or a waiting submitter —
+// must have its worker's thread to itself: each
 // call marks its thread busy and fails if it already was. Every
 // accepted call runs exactly once, refused ones never run, every future
 // completes, and waiting submitters did run some calls themselves. Run

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,9 @@ type Stats struct {
 	// Helped counts requests a waiting submitter ran itself on the
 	// worker's thread (WorkerOps includes them).
 	Helped uint64
-	// Steals counts requests a worker took from a sibling's ring.
+	// Steals is always 0: a request runs only on the worker whose ring
+	// it was published to. It stays for the benchmark harness
+	// (benchmark/layers.go), which reports it.
 	Steals uint64
 	// Sleeps and Wakes trace the backoff ladder: how often a worker
 	// reached the sleep rung, and how often an enqueue had to wake one.
@@ -70,7 +73,7 @@ type Stats struct {
 	WaitCycles uint64
 	// SettledWorkCycles accumulates the worker execution cycles of every
 	// request whose completion the submitter has observed (Call return,
-	// Future.Wait, CallBatch collection). Unlike WorkerOps or Steals it
+	// Future.Wait, CallBatch collection). Unlike WorkerOps it
 	// advances only on the submitting threads, so in a single-driver run
 	// it is a deterministic measure of offered service demand — the
 	// signal the self-tuning controller divides by elapsed virtual time
@@ -100,7 +103,7 @@ const (
 
 // worker is one untrusted poller: its thread, its own ring shard, the
 // wake channel the sleep rung of the backoff ladder blocks on, and the
-// retire channel a live shrink closes to ask the worker to drain its
+// retire channel Stop or a shrink closes to ask the worker to drain its
 // own ring and exit.
 type worker struct {
 	th *sgx.Thread
@@ -113,26 +116,24 @@ type worker struct {
 	run      sync.Mutex
 	ring     *ring
 	wake     chan struct{}
-	retire   chan struct{}
+	retire   chan struct{} // made afresh by each launch
 	retired  chan struct{} // closed by the worker after its drain
 	sleeping atomic.Bool
 }
 
-// Pool is the untrusted RPC runtime: worker threads polling per-worker
-// job rings, with idle workers stealing from their siblings. Workers run
-// with the CoSRPC cache class of service, so enabling LLC partitioning
-// confines their pollution (§3.1, Fig 6b).
+// Pool is the untrusted RPC runtime: worker threads each polling their
+// own job ring. Workers run with the CoSRPC cache class of service, so
+// enabling LLC partitioning confines their pollution (§3.1, Fig 6b).
 //
 // The worker set is dynamic: Resize grows and shrinks it while the pool
 // is running, without a Stop/Start cycle. Submitters read the published
-// set through an atomic pointer; the inflight counter fences a shrink
-// against submissions that hold the previous snapshot, so an accepted
-// request always lands on a ring some worker will drain.
+// set through an atomic pointer; the inflight counter fences Stop and a
+// shrink against submissions that hold the previous snapshot, so an
+// accepted request always lands on a ring its worker will drain.
 type Pool struct {
 	plat     *sgx.Platform
 	ws       atomic.Pointer[[]*worker] // published worker set
 	perShard int
-	wg       sync.WaitGroup
 
 	// resizeMu serializes Start, Stop and Resize against each other.
 	//
@@ -141,8 +142,6 @@ type Pool struct {
 
 	state    atomic.Int32
 	inflight atomic.Int64 // submitters between their state check and enqueue
-	draining atomic.Bool
-	stopC    chan struct{}
 
 	reqPool sync.Pool
 
@@ -153,7 +152,6 @@ type Pool struct {
 	batchedCalls atomic.Uint64
 	workerOps    atomic.Uint64
 	helped       atomic.Uint64
-	steals       atomic.Uint64
 	sleeps       atomic.Uint64
 	wakes        atomic.Uint64
 	waitCycles   atomic.Uint64
@@ -187,11 +185,9 @@ func NewPool(p *sgx.Platform, workers, ringCapacity int) *Pool {
 
 func (p *Pool) newWorker() *worker {
 	return &worker{
-		th:      p.plat.NewHostThread(cache.CoSRPC),
-		ring:    newRing(p.perShard),
-		wake:    make(chan struct{}, 1),
-		retire:  make(chan struct{}),
-		retired: make(chan struct{}),
+		th:   p.plat.NewHostThread(cache.CoSRPC),
+		ring: newRing(p.perShard),
+		wake: make(chan struct{}, 1),
 	}
 }
 
@@ -206,41 +202,31 @@ func (p *Pool) Start() {
 	if !p.state.CompareAndSwap(poolIdle, poolRunning) {
 		return
 	}
-	p.draining.Store(false)
-	p.stopC = make(chan struct{})
 	for _, w := range p.workers() {
-		p.wg.Add(1)
-		go p.workerLoop(w, p.stopC)
+		p.launch(w)
 	}
 }
 
 // Stop shuts the workers down deterministically: new submissions are
 // refused with ErrStopped, in-flight publishes are allowed to land, and
-// the workers drain every ring before exiting — so a request that was
-// accepted is always executed and its waiter always completes.
+// each worker drains its own ring before exiting — so a request that
+// was accepted is always executed and its waiter always completes.
 func (p *Pool) Stop() {
 	p.resizeMu.Lock()
 	defer p.resizeMu.Unlock()
 	if !p.state.CompareAndSwap(poolRunning, poolStopping) {
 		return
 	}
-	for p.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
-	p.draining.Store(true)
-	close(p.stopC)
-	p.wg.Wait()
+	p.retire(p.workers())
 	p.state.Store(poolIdle)
 }
 
 // Resize grows or shrinks the live worker set to n without stopping the
 // pool. Growth publishes fresh workers (new host threads, new ring
 // shards) and starts their goroutines. Shrink unpublishes the trailing
-// workers so no new submission can route to them, waits out submitters
-// still holding the previous snapshot (the inflight fence), then asks
-// each victim to drain its own ring and exit — an accepted request is
-// always executed, exactly as under Stop. Returns ErrStopped if the
-// pool is not running.
+// workers so no new submission can route to them and then retires them
+// exactly as Stop retires every worker. Returns ErrStopped if the pool
+// is not running.
 func (p *Pool) Resize(n int) error {
 	if n < 1 {
 		n = 1
@@ -258,32 +244,42 @@ func (p *Pool) Resize(n int) error {
 		for i := len(cur); i < n; i++ {
 			w := p.newWorker()
 			next = append(next, w)
-			p.wg.Add(1)
-			go p.workerLoop(w, p.stopC)
+			p.launch(w)
 		}
 		p.ws.Store(&next)
 		p.grows.Add(1)
 	case n < len(cur):
 		next := make([]*worker, n)
 		copy(next, cur[:n])
-		victims := cur[n:]
 		p.ws.Store(&next)
-		// Fence: any submitter that raised inflight before the store
-		// may still hold the old snapshot and enqueue onto a victim's
-		// ring; once inflight quiesces, every future submission routes
-		// through the shrunk set.
-		for p.inflight.Load() != 0 {
-			runtime.Gosched()
-		}
-		for _, v := range victims {
-			close(v.retire)
-		}
-		for _, v := range victims {
-			<-v.retired
-		}
+		p.retire(cur[n:])
 		p.shrinks.Add(1)
 	}
 	return nil
+}
+
+// launch starts w's goroutine with fresh retire channels.
+func (p *Pool) launch(w *worker) {
+	w.retire = make(chan struct{})
+	w.retired = make(chan struct{})
+	go p.workerLoop(w)
+}
+
+// retire asks each of ws to drain its own ring and exit, and waits
+// until all have. It first waits out the inflight submitters: any of
+// them may hold a worker-set snapshot that still routes to ws, and once
+// they quiesce every later submission is refused or routes elsewhere,
+// so draining to empty leaves no accepted request behind.
+func (p *Pool) retire(ws []*worker) {
+	for p.inflight.Load() != 0 {
+		runtime.Gosched()
+	}
+	for _, w := range ws {
+		close(w.retire)
+	}
+	for _, w := range ws {
+		<-w.retired
+	}
 }
 
 // WorkerCount returns the number of live workers.
@@ -311,7 +307,6 @@ func (p *Pool) Stats() Stats {
 		BatchedCalls:      p.batchedCalls.Load(),
 		WorkerOps:         p.workerOps.Load(),
 		Helped:            p.helped.Load(),
-		Steals:            p.steals.Load(),
 		Sleeps:            p.sleeps.Load(),
 		Wakes:             p.wakes.Load(),
 		QueueDepth:        p.depth.Load(),
@@ -345,34 +340,42 @@ func (p *Pool) putReq(req *request) {
 	p.reqPool.Put(req)
 }
 
-// submit publishes req on the caller's affinity shard. The depth counter
-// is raised before the descriptor lands in the ring, so no worker can
-// pass its sleep re-check while a publish is in flight — including while
-// the ring is momentarily full — which makes wake-on-enqueue lost-wakeup
-// free. The worker-set snapshot is taken inside the inflight window, so
-// a concurrent shrink waits for this publish before draining the rings
-// it unpublished.
+// submit publishes reqs: request i goes to the ring of worker
+// (caller's shard + i) mod workers, and its owner is woken if it
+// sleeps. It returns the worker count it saw. The whole submission
+// publishes in one inflight window, which also holds the worker-set
+// snapshot, so a concurrent Stop or shrink waits for it before
+// retiring the workers it routed to. Wake-on-enqueue is lost-wakeup
+// free: a request is in its ring before notify reads the owner's
+// sleeping flag, and a worker raises that flag before its sleep rung
+// re-checks its own ring.
 //
 //eleos:hotpath budget=0
-func (p *Pool) submit(req *request, caller *sgx.Thread) error {
+func (p *Pool) submit(caller *sgx.Thread, reqs []*request) (int, error) {
 	p.inflight.Add(1)
 	if p.state.Load() != poolRunning {
 		p.inflight.Add(-1)
-		return ErrStopped
+		return 0, ErrStopped
 	}
 	ws := p.workers()
 	s := shardOf(caller, len(ws))
-	p.bumpPeak(p.depth.Add(1))
-	req.w = ws[s]
-	req.ticket = ws[s].ring.enqueue(req)
+	for _, req := range reqs {
+		w := ws[s]
+		p.bumpPeak(p.depth.Add(1))
+		req.w = w
+		req.ticket = w.ring.enqueue(req)
+		notify(w)
+		if s++; s == len(ws) {
+			s = 0
+		}
+	}
 	p.inflight.Add(-1)
-	p.notify(ws, s)
-	return nil
+	return len(ws), nil
 }
 
-// shardOf picks the submission shard for a caller: affinity by thread
-// ID, so a caller's requests stay on one ring and its cache lines, with
-// work stealing rebalancing any skew.
+// shardOf picks the first shard of a caller's submissions: affinity by
+// thread ID, so a caller's single calls stay on one ring and its cache
+// lines.
 //
 //eleos:hotpath budget=0
 func shardOf(caller *sgx.Thread, n int) int {
@@ -389,112 +392,56 @@ func (p *Pool) bumpPeak(d int64) {
 	}
 }
 
-// notify wakes sleeping workers after a publish: the target shard's
-// owner first, then — if the backlog justifies it — sleeping siblings,
-// which will find the work by stealing.
+// notify wakes w if it sleeps: its ring just received a request.
 //
 //eleos:hotpath budget=0
-func (p *Pool) notify(ws []*worker, s int) {
-	need := p.depth.Load()
-	if need <= 0 {
-		return
-	}
-	if int64(len(ws)) < need {
-		need = int64(len(ws))
-	}
-	if wakeOne(ws[s]) {
-		need--
-	}
-	for i := 0; need > 0 && i < len(ws); i++ {
-		if i != s && wakeOne(ws[i]) {
-			need--
-		}
-	}
-}
-
-//eleos:hotpath budget=0
-func wakeOne(w *worker) bool {
+func notify(w *worker) {
 	if !w.sleeping.Load() {
-		return false
+		return
 	}
 	select {
 	case w.wake <- struct{}{}:
-		return true
 	default:
-		return false
 	}
-}
-
-// dequeueFor pops work for worker w: its own ring first, then a steal
-// sweep over the published siblings.
-//
-//eleos:hotpath budget=0
-func (p *Pool) dequeueFor(w *worker) (req *request, stolen bool) {
-	if req := w.ring.dequeue(); req != nil {
-		p.depth.Add(-1)
-		return req, false
-	}
-	for _, o := range p.workers() {
-		if o == w {
-			continue
-		}
-		if req := o.ring.dequeue(); req != nil {
-			p.depth.Add(-1)
-			return req, true
-		}
-	}
-	return nil, false
 }
 
 // workerLoop is the untrusted worker body: it runs on a host thread,
-// polls the rings, and executes requests in a host context. It must
+// polls its own ring, and executes requests in a host context. It must
 // never touch EPC contents or call enclave code.
 //
 //eleos:untrusted
 //eleos:hotpath budget=0
-func (p *Pool) workerLoop(w *worker, stopC chan struct{}) {
-	defer p.wg.Done()
-	ctx := w.th.HostContext()
+func (p *Pool) workerLoop(w *worker) {
 	idle := 0
 	for {
 		select {
 		case <-w.retire:
-			p.drainOwn(w, ctx)
+			w.run.Lock()
+			p.runThrough(w, math.MaxUint64)
+			w.run.Unlock()
 			close(w.retired)
 			return
 		default:
 		}
-		var req *request
-		stolen := false
 		// A failed TryLock means a waiting submitter is running calls
 		// on this worker's thread: an idle poll.
 		if w.run.TryLock() {
-			req, stolen = p.dequeueFor(w)
-			if req != nil {
-				p.execute(w, ctx, req)
-			}
+			ran := p.runThrough(w, math.MaxUint64)
 			w.run.Unlock()
-			if req == nil && p.draining.Load() {
-				// Every ring was empty after the drain flag: done.
-				return
+			if ran > 0 {
+				idle = 0
+				continue
 			}
 		}
-		if req == nil {
-			idle++
-			switch {
-			case idle <= spinPolls:
-				// Busy rung: immediate re-poll.
-			case idle <= spinPolls+yieldPolls:
-				runtime.Gosched()
-			default:
-				p.sleep(w, stopC)
-				idle = spinPolls // resume on the yield rung after a wake
-			}
-			continue
-		}
-		idle = 0
-		if stolen {
-			p.steals.Add(1)
+		idle++
+		switch {
+		case idle <= spinPolls:
+			// Busy rung: immediate re-poll.
+		case idle <= spinPolls+yieldPolls:
+			runtime.Gosched()
+		default:
+			p.sleep(w)
+			idle = spinPolls // resume on the yield rung after a wake
 		}
 	}
 }
@@ -506,8 +453,8 @@ func (p *Pool) workerLoop(w *worker, stopC chan struct{}) {
 // TLB and cache class the worker would have used, so virtual time is
 // unchanged and only the host goroutine supplying the CPU differs. It
 // never runs work queued behind req (that would make one waiter block
-// on another caller's call) and never touches a sibling's ring:
-// stealing stays the workers' job. Reports whether req is done.
+// on another caller's call). Reports whether req is done: a request
+// ahead of req whose publish is still in flight stops the helper short.
 //
 //eleos:untrusted
 //eleos:hotpath budget=0
@@ -519,71 +466,61 @@ func (p *Pool) help(req *request) bool {
 	if !w.run.TryLock() {
 		return false
 	}
-	ctx := w.th.HostContext()
-	for req.done.Load() == 0 {
-		r := w.ring.dequeueThrough(req.ticket)
-		if r == nil {
-			break // a stealing sibling took req; it settles there
-		}
-		p.depth.Add(-1)
-		p.helped.Add(1)
-		p.execute(w, ctx, r)
-	}
+	p.helped.Add(p.runThrough(w, req.ticket))
 	w.run.Unlock()
 	return req.done.Load() != 0
 }
 
-// execute runs one request on the worker thread and publishes its
-// completion.
+// await returns once req is done, helping run it when it can.
 //
-//eleos:untrusted
 //eleos:hotpath budget=0
-func (p *Pool) execute(w *worker, ctx *sgx.HostCtx, req *request) {
-	start := w.th.T.Cycles()
-	req.fn(ctx)
-	req.workCycles = w.th.T.Cycles() - start
-	p.workerOps.Add(1)
-	notify := req.notify
-	req.done.Store(1)
-	if notify != nil {
-		notify()
+func (p *Pool) await(req *request) {
+	for !p.help(req) {
+		spinWait()
 	}
 }
 
-// drainOwn empties a retiring worker's own ring. After the shrink's
-// inflight fence no new submission can route here, so draining to empty
-// leaves no accepted request behind. Steal traffic is skipped: the
-// survivors no longer see this ring, and the retiree has no business
-// touching theirs.
+// runThrough executes w's queued requests in FIFO order, up to ticket
+// last, on w's thread, and returns how many it ran. The caller holds
+// w.run, which makes it the ring's single consumer.
 //
 //eleos:untrusted
 //eleos:hotpath budget=0
-func (p *Pool) drainOwn(w *worker, ctx *sgx.HostCtx) {
-	w.run.Lock()
-	defer w.run.Unlock()
+func (p *Pool) runThrough(w *worker, last uint64) uint64 {
+	ctx := w.th.HostContext()
+	var n uint64
 	for {
-		req := w.ring.dequeue()
+		req := w.ring.dequeueThrough(last)
 		if req == nil {
-			return
+			return n
 		}
 		p.depth.Add(-1)
-		p.execute(w, ctx, req)
+		start := w.th.T.Cycles()
+		req.fn(ctx)
+		req.workCycles = w.th.T.Cycles() - start
+		p.workerOps.Add(1)
+		notify := req.notify
+		req.done.Store(1)
+		if notify != nil {
+			notify()
+		}
+		n++
 	}
 }
 
 // sleep is the bottom rung of the backoff ladder. The worker registers
-// as sleeping, re-checks the published depth (a submitter raises depth
-// before it could ever need a wake, so this re-check closes the race),
-// and only then blocks until an enqueue, Stop or a retiring Resize wakes
-// it. Runs on the untrusted worker thread (a host thread may
-// futex-sleep; an enclave thread may not).
+// as sleeping, re-checks its own ring (a submitter publishes before it
+// reads the flag, so this re-check closes the race), and only then
+// blocks until an enqueue wakes it or it is retired. Runs on the
+// untrusted worker thread (a host thread may futex-sleep; an enclave
+// thread may not).
 //
 //eleos:untrusted
 //eleos:hotpath budget=0
-func (p *Pool) sleep(w *worker, stopC chan struct{}) {
+func (p *Pool) sleep(w *worker) {
 	w.sleeping.Store(true)
 	p.sleeps.Add(1)
-	if p.depth.Load() > 0 || p.draining.Load() {
+	if !w.ring.empty() {
 		w.sleeping.Store(false)
 		return
 	}
@@ -596,7 +533,6 @@ func (p *Pool) sleep(w *worker, stopC chan struct{}) {
 		w.run.Lock()
 		w.th.T.Charge(p.plat.Model.RPCWake)
 		w.run.Unlock()
-	case <-stopC:
 	case <-w.retire:
 	}
 	w.sleeping.Store(false)
@@ -617,13 +553,12 @@ func (p *Pool) Call(caller *sgx.Thread, fn func(*sgx.HostCtx)) error {
 	m := caller.Platform().Model
 	caller.T.Charge(m.RPCEnqueue)
 	req := p.getReq(fn, caller.T.Cycles())
-	if err := p.submit(req, caller); err != nil {
+	one := [...]*request{req}
+	if _, err := p.submit(caller, one[:]); err != nil {
 		p.putReq(req)
 		return err
 	}
-	for !p.help(req) {
-		spinWait()
-	}
+	p.await(req)
 	// The worker's processing time is observed as synchronous latency,
 	// but it is not enclave execution — the caller merely polls.
 	caller.ChargeOutside(req.workCycles + m.RPCPoll)
@@ -673,7 +608,8 @@ func (p *Pool) CallAsyncNotifyInto(fut *Future, caller *sgx.Thread, fn func(*sgx
 	caller.T.Charge(m.RPCEnqueue)
 	req := p.getReq(fn, caller.T.Cycles())
 	req.notify = notify
-	if err := p.submit(req, caller); err != nil {
+	one := [...]*request{req}
+	if _, err := p.submit(caller, one[:]); err != nil {
 		p.putReq(req)
 		return err
 	}
@@ -685,11 +621,11 @@ func (p *Pool) CallAsyncNotifyInto(fut *Future, caller *sgx.Thread, fn func(*sgx
 
 // CallBatch delegates all fns with a single charge-and-publish: the
 // caller pays one full enqueue plus the cheap marginal batch cost per
-// additional descriptor, publishes the whole batch onto its affinity
-// shard (idle siblings steal the overflow), and then waits for all of
-// them. The synchronous latency charged is the batch's parallel
-// makespan across the pool, not the serial sum of the calls. Returns
-// ErrStopped if the pool is not running.
+// additional descriptor, publishes the batch across the pool (request i
+// on the ring after request i-1's), and then waits for all of them. The
+// synchronous latency charged is the batch's parallel makespan across
+// the pool, not the serial sum of the calls. Returns ErrStopped if the
+// pool is not running.
 //
 //eleos:hotpath budget=2
 func (p *Pool) CallBatch(caller *sgx.Thread, fns []func(*sgx.HostCtx)) error {
@@ -704,38 +640,26 @@ func (p *Pool) CallBatch(caller *sgx.Thread, fns []func(*sgx.HostCtx)) error {
 	caller.T.Charge(m.RPCEnqueue + uint64(n-1)*m.RPCBatchEnqueue)
 	stamp := caller.T.Cycles()
 	reqs := make([]*request, n)
-
-	p.inflight.Add(1)
-	if p.state.Load() != poolRunning {
-		p.inflight.Add(-1)
-		return ErrStopped
-	}
-	ws := p.workers()
-	s := shardOf(caller, len(ws))
 	for i, fn := range fns {
-		req := p.getReq(fn, stamp)
-		reqs[i] = req
-		p.bumpPeak(p.depth.Add(1))
-		req.w = ws[s]
-		req.ticket = ws[s].ring.enqueue(req)
-		if i == 0 {
-			p.notify(ws, s) // recruit workers while the rest publishes
-		}
+		reqs[i] = p.getReq(fn, stamp)
 	}
-	p.inflight.Add(-1)
-	p.notify(ws, s)
+	workers, err := p.submit(caller, reqs)
+	if err != nil {
+		for _, req := range reqs {
+			p.putReq(req)
+		}
+		return err
+	}
 
 	var total, maxWork uint64
 	for _, req := range reqs {
-		for !p.help(req) {
-			spinWait()
-		}
+		p.await(req)
 		total += req.workCycles
 		if req.workCycles > maxWork {
 			maxWork = req.workCycles
 		}
 	}
-	span := (total + uint64(len(ws)) - 1) / uint64(len(ws))
+	span := (total + uint64(workers) - 1) / uint64(workers)
 	if span < maxWork {
 		span = maxWork
 	}

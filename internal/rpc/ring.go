@@ -6,13 +6,15 @@
 // no TLB flush, no enclave state pollution. The workers' cache footprint
 // can further be confined with CAT partitioning (Platform.LLC).
 //
-// The queue is sharded: each worker owns one lock-free bounded MPMC
-// ring (sequence-number variant), callers submit by thread affinity,
-// and idle workers steal from their siblings. Synchronization between
-// trusted and untrusted contexts is by polling, because enclave threads
-// cannot use OS futexes — exactly the constraint the paper works under.
-// (The workers themselves are host threads and may sleep; the
-// wake-on-enqueue path in Pool models that futex.)
+// The queue is sharded: each worker owns one lock-free bounded ring. A
+// submission's requests go to consecutive rings starting at the
+// caller's affinity shard, and a request runs only on the worker whose
+// ring it was published to, so every call settles on a known worker.
+// Synchronization between trusted and untrusted contexts is by polling,
+// because enclave threads cannot use OS futexes — exactly the
+// constraint the paper works under. (The workers themselves are host
+// threads and may sleep; the wake-on-enqueue path in Pool models that
+// futex.)
 //
 // Submission comes in three flavours: synchronous Call, future-returning
 // CallAsync whose Wait charges only the latency the caller's own compute
@@ -42,14 +44,14 @@
 package rpc
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 )
 
-// ring is a bounded multi-producer/multi-consumer queue. Each cell
+// ring is a bounded multi-producer/single-consumer queue. Each cell
 // carries a sequence number used to detect whether it is ready for the
-// current lap of producers or consumers.
+// current lap of producers or of the consumer. The one consumer at a
+// time is whoever holds the owning worker's run lock.
 type ring struct {
 	mask  uint64
 	cells []cell
@@ -93,7 +95,7 @@ func (r *ring) enqueue(req *request) uint64 {
 			}
 			pos = r.enq.Load()
 		case seq < pos:
-			// Full: wait for a consumer to free the cell.
+			// Full: wait for the consumer to free the cell.
 			runtime.Gosched()
 			pos = r.enq.Load()
 		default:
@@ -102,38 +104,31 @@ func (r *ring) enqueue(req *request) uint64 {
 	}
 }
 
-// dequeue removes one request, returning nil immediately when the ring
-// is empty (workers interleave polling with backoff).
-//
-//eleos:hotpath budget=0
-func (r *ring) dequeue() *request { return r.dequeueThrough(math.MaxUint64) }
-
-// dequeueThrough is dequeue limited to tickets up to last: it returns
-// nil once the head has moved past last, so a waiting submitter never
-// takes work queued behind its own request.
+// dequeueThrough removes the head request if its ticket is at most last
+// and its producer has finished publishing it; otherwise it returns
+// nil, so a waiting submitter never takes work queued behind its own
+// request. The caller must be the ring's single consumer.
 //
 //eleos:hotpath budget=0
 func (r *ring) dequeueThrough(last uint64) *request {
 	pos := r.deq.Load()
-	for {
-		if pos > last {
-			return nil
-		}
-		c := &r.cells[pos&r.mask]
-		seq := c.seq.Load()
-		switch {
-		case seq == pos+1:
-			if r.deq.CompareAndSwap(pos, pos+1) {
-				req := c.req
-				c.req = nil
-				c.seq.Store(pos + r.mask + 1)
-				return req
-			}
-			pos = r.deq.Load()
-		case seq <= pos:
-			return nil
-		default:
-			pos = r.deq.Load()
-		}
+	c := &r.cells[pos&r.mask]
+	if pos > last || c.seq.Load() != pos+1 {
+		return nil
 	}
+	req := c.req
+	c.req = nil
+	r.deq.Store(pos + 1)
+	c.seq.Store(pos + r.mask + 1)
+	return req
+}
+
+// empty reports whether the ring holds no request, counting one whose
+// publish is still in flight as present. Safe from any goroutine.
+//
+//eleos:hotpath budget=0
+func (r *ring) empty() bool {
+	// deq first: deq never passes enq, so equal values mean the ring
+	// was empty at the moment enq was read.
+	return r.deq.Load() == r.enq.Load()
 }

@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,46 +27,50 @@ func TestRingFIFOSingleThreaded(t *testing.T) {
 		r.enqueue(&reqs[i])
 	}
 	for i := 0; i < 8; i++ {
-		if got := r.dequeue(); got != &reqs[i] {
+		if got := r.dequeueThrough(math.MaxUint64); got != &reqs[i] {
 			t.Fatalf("dequeue %d out of order", i)
 		}
 	}
-	if r.dequeue() != nil {
+	if r.dequeueThrough(math.MaxUint64) != nil || !r.empty() {
 		t.Fatal("empty ring returned a request")
 	}
 }
 
-func TestRingConcurrentProducersConsumers(t *testing.T) {
+// Many producers, one consumer (a ring's consumer is whoever holds its
+// worker's run lock): each producer's requests all arrive, once each
+// and in the order it published them.
+func TestRingConcurrentProducersSingleConsumer(t *testing.T) {
 	r := newRing(64)
-	const total = 20000
-	var consumed atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for consumed.Load() < total {
-				if req := r.dequeue(); req != nil {
-					req.done.Store(1)
-					consumed.Add(1)
-				}
-			}
-		}()
-	}
+	const producers, each = 4, 5000
 	var pwg sync.WaitGroup
-	for p := 0; p < 4; p++ {
+	for p := 0; p < producers; p++ {
 		pwg.Add(1)
-		go func() {
+		go func(p int) {
 			defer pwg.Done()
-			for i := 0; i < total/4; i++ {
-				r.enqueue(&request{})
+			for i := 0; i < each; i++ {
+				// ticket is free in a bare ring: it carries the
+				// producer and its sequence number.
+				r.enqueue(&request{ticket: uint64(p)<<32 | uint64(i)})
 			}
-		}()
+		}(p)
+	}
+	var next [producers]uint64
+	for got := 0; got < producers*each; {
+		req := r.dequeueThrough(math.MaxUint64)
+		if req == nil {
+			runtime.Gosched()
+			continue
+		}
+		p, seq := req.ticket>>32, req.ticket&(1<<32-1)
+		if seq != next[p] {
+			t.Fatalf("producer %d: got request %d, want %d", p, seq, next[p])
+		}
+		next[p]++
+		got++
 	}
 	pwg.Wait()
-	wg.Wait()
-	if consumed.Load() != total {
-		t.Fatalf("consumed %d of %d", consumed.Load(), total)
+	if !r.empty() {
+		t.Fatal("ring not empty after every request was consumed")
 	}
 }
 

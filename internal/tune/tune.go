@@ -30,7 +30,7 @@
 // from wall-clock time or host scheduling. A single-threaded drive
 // therefore produces a bit-identical decision sequence on every run —
 // the property the fixed-epoch determinism tests pin. Host-timing
-// dependent counters (steals, sleeps, wakes, instantaneous queue depth)
+// dependent counters (sleeps, wakes, instantaneous queue depth)
 // are sampled into the observability Sample but never consulted by the
 // decision logic.
 //
@@ -153,9 +153,9 @@ func adviceFor(demand float64) Advice {
 }
 
 // Sample is one epoch's raw counter deltas — the controller's
-// observability record. Steals, Sleeps, Wakes and QueueDepth depend on
-// host scheduling and are reported for inspection only; the decision
-// logic never reads them.
+// observability record. Sleeps, Wakes and QueueDepth depend on host
+// scheduling and are reported for inspection only; the decision logic
+// never reads them.
 type Sample struct {
 	// ElapsedCycles is the pump thread's virtual-cycle delta over the
 	// epoch.
@@ -169,7 +169,6 @@ type Sample struct {
 	Doorbells       uint64
 	ReapStallCycles uint64
 	// Host-timing dependent rpc deltas (observability only).
-	Steals uint64
 	Sleeps uint64
 	Wakes  uint64
 	// QueueDepth is the instantaneous published-but-undequeued request
@@ -330,7 +329,6 @@ func (c *Controller) decide(now, elapsed uint64) {
 		WaitCycles:        rs.WaitCycles - c.prevRPC.WaitCycles,
 		Doorbells:         is.Doorbells - c.prevIO.Doorbells,
 		ReapStallCycles:   is.ReapStallCycles - c.prevIO.ReapStallCycles,
-		Steals:            rs.Steals - c.prevRPC.Steals,
 		Sleeps:            rs.Sleeps - c.prevRPC.Sleeps,
 		Wakes:             rs.Wakes - c.prevRPC.Wakes,
 		QueueDepth:        rs.QueueDepth,

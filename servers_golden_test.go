@@ -20,8 +20,8 @@ import (
 // engine (internal/exitio) must leave the single-op dispatch paths
 // bit-identical to the hand-rolled per-server switches it replaced:
 // same charge sequence per request, same LLC evolution, same
-// in-enclave time split. RPC-mode workloads use a single-worker pool so
-// work stealing cannot reorder worker-side cache state between runs.
+// in-enclave time split. RPC-mode workloads use a single-worker pool,
+// the configuration the fingerprints were captured with.
 //
 // The native, ocall and rpc rows were captured at commit f19d53e
 // (pre-exitio), where each server issued one synchronous pool.Call per
