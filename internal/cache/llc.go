@@ -30,8 +30,10 @@
 //
 // Every call probes its lines one at a time, in address order, but
 // synchronizes and publishes per call: it takes each shard lock once
-// per contiguous run of sets, and adds its cycles to the thread and its
-// outcomes to Stats in a single step each. A concurrent reader of
+// per contiguous run of sets, adds its outcomes to the counters of the
+// shard that owns its last run before it releases that shard's lock,
+// and adds its cycles to the thread in a single step. Stats sums the
+// shards' counters under each lock in turn. A concurrent reader of
 // Thread.Cycles or Stats therefore sees either none or all of a range,
 // never part of one.
 //
@@ -67,7 +69,8 @@ const (
 	numCoS
 )
 
-// Stats is a snapshot of the aggregate access counters.
+// Stats is a snapshot of the aggregate access counters. It is also the
+// outcome of one probe call and a shard's share of the aggregate.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
@@ -75,11 +78,11 @@ type Stats struct {
 	Evictions uint64
 }
 
-type atomicStats struct {
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	epcMisses atomic.Uint64
-	evictions atomic.Uint64
+func (s *Stats) add(u Stats) {
+	s.Hits += u.Hits
+	s.Misses += u.Misses
+	s.EPCMisses += u.EPCMisses
+	s.Evictions += u.Evictions
 }
 
 // shardCount is the number of independently locked LLC shards. Each
@@ -92,10 +95,12 @@ const shardCount = 16
 // holds one 4-bit way number per way in a single uint64.
 const maxWays = 16
 
-// shard holds the state of its run of sets.
+// shard holds the state of its run of sets, and the outcomes of the
+// calls whose last run of sets it owns.
 type shard struct {
-	mu   sync.Mutex
-	sets []set
+	mu    sync.Mutex
+	sets  []set
+	stats Stats
 }
 
 // set is the state of one set. Its tag array always has maxWays slots;
@@ -210,10 +215,9 @@ type LLC struct {
 	numSets    int
 	shardShift uint // log2 of the sets per shard
 	shards     [shardCount]shard
-	runs       [numCoS]atomic.Uint32 // class's way run: lo | hi<<8
-	stats      atomicStats
-	epcLimit   uint64 // physical addresses below this are EPC
-	epcLineEnd uint64 // line addresses below this start inside the EPC
+	runs       atomic.Pointer[[numCoS]wayRun] // each class's way run
+	epcLimit   uint64                         // physical addresses below this are EPC
+	epcLineEnd uint64                         // line addresses below this start inside the EPC
 }
 
 // Config describes the cache geometry.
@@ -267,97 +271,72 @@ func New(m *cycles.Model, cfg Config) *LLC {
 
 // EnablePartitioning applies the Eleos CAT split: the RPC class of
 // service may allocate only into ways [0, rpcWays), and the enclave
-// class into the remaining ways. The default class keeps all ways. Each
-// access reads its class's run once, so a call racing with a change of
-// partitioning uses either the old or the new run throughout. Changes
-// of partitioning must not race one another: each stores the class
-// runs one at a time.
+// class into the remaining ways. The default class keeps all ways. A
+// change of partitioning swaps every class's run in one store, and each
+// access reads its class's run once, so a call racing with a change
+// uses either the old or the new run throughout.
 func (c *LLC) EnablePartitioning(rpcWays int) {
 	if rpcWays <= 0 || rpcWays >= c.ways {
 		panic(fmt.Sprintf("cache: rpcWays %d out of range (1..%d)", rpcWays, c.ways-1))
 	}
-	c.setRun(CoSRPC, 0, rpcWays-1)
-	c.setRun(CoSEnclave, rpcWays, c.ways-1)
+	c.runs.Store(&[numCoS]wayRun{
+		CoSDefault: newWayRun(0, c.ways-1),
+		CoSEnclave: newWayRun(rpcWays, c.ways-1),
+		CoSRPC:     newWayRun(0, rpcWays-1),
+	})
 }
 
 // DisablePartitioning lets every class allocate into every way again.
 func (c *LLC) DisablePartitioning() {
-	for cos := range CoS(numCoS) {
-		c.setRun(cos, 0, c.ways-1)
-	}
-}
-
-func (c *LLC) setRun(cos CoS, lo, hi int) {
-	c.runs[cos].Store(uint32(lo) | uint32(hi)<<8)
+	all := newWayRun(0, c.ways-1)
+	c.runs.Store(&[numCoS]wayRun{all, all, all})
 }
 
 // run loads the way run cos may allocate into.
-func (c *LLC) run(cos CoS) wayRun {
-	p := c.runs[cos].Load()
-	return newWayRun(int(p&0xFF), int(p>>8))
-}
-
-// tally is the outcome of one probe call.
-type tally struct {
-	hits, misses, epcMisses, evictions uint64
-}
-
-func (t *tally) add(u tally) {
-	t.hits += u.hits
-	t.misses += u.misses
-	t.epcMisses += u.epcMisses
-	t.evictions += u.evictions
-}
+func (c *LLC) run(cos CoS) wayRun { return c.runs.Load()[cos] }
 
 // probe looks up the lines [first, last] in address order, installing
 // each miss within run, and publishes the outcomes to the aggregate
-// counters once. A missed line counts as an EPC miss when its address
-// is below epcEnd. It performs no cycle charging; Access, AccessRange
-// and InstallRange charge from the returned tally. It panics if a line
-// address does not fit a 32-bit tag, rather than alias two lines.
+// counters once: to the shard of its last run, under that run's lock.
+// A missed line counts as an EPC miss when its address is below epcEnd.
+// It performs no cycle charging; Access, AccessRange and InstallRange
+// charge from the returned outcomes. It panics if a line address does
+// not fit a 32-bit tag, rather than alias two lines.
 //
 // Consecutive lines map to consecutive sets, so the range splits into
 // runs of sets owned by one shard; each run is probed under a single
 // acquisition of that shard's lock.
-func (c *LLC) probe(run wayRun, first, last, epcEnd uint64) tally {
+func (c *LLC) probe(run wayRun, first, last, epcEnd uint64) Stats {
 	if last >= math.MaxUint32 {
 		panic("cache: line address beyond the 32-bit tag range")
 	}
-	var t tally
+	var t Stats
 	// Set and shard counts are powers of two: index with masks and
 	// shifts rather than divisions.
 	setMask, shift := uint64(c.numSets-1), c.shardShift
 	perShard := uint64(1) << shift
-	for la := first; la <= last; {
+	for la := first; ; {
 		setIdx := la & setMask
 		sh := &c.shards[setIdx>>shift]
 		local := setIdx & (perShard - 1)
 		end := la + min(perShard-local, last-la+1)
 		sh.mu.Lock()
 		t.add(probeSets(sh.sets[local:local+end-la], run, la, epcEnd))
+		if end > last {
+			sh.stats.add(t)
+			sh.mu.Unlock()
+			return t
+		}
 		sh.mu.Unlock()
 		la = end
 	}
-	if t.hits != 0 {
-		c.stats.hits.Add(t.hits)
-	}
-	if t.misses != 0 {
-		c.stats.misses.Add(t.misses)
-	}
-	if t.epcMisses != 0 {
-		c.stats.epcMisses.Add(t.epcMisses)
-	}
-	if t.evictions != 0 {
-		c.stats.evictions.Add(t.evictions)
-	}
-	return t
 }
 
 // probeSets probes the consecutive lines from la on, one in each of
 // sets, under the lock of the shard that owns sets. It is kept out of
 // probe so that its loop has the registers to itself.
-func probeSets(sets []set, run wayRun, la, epcEnd uint64) tally {
-	var t tally
+func probeSets(sets []set, run wayRun, la, epcEnd uint64) Stats {
+	var t Stats
 	n := uint64(len(sets))
 	epcLines := min(max(epcEnd, la), la+n) - la // the first epcLines lines are EPC
 	tag := uint32(la)
@@ -366,23 +345,23 @@ func probeSets(sets []set, run wayRun, la, epcEnd uint64) tally {
 		st := &sets[i]
 		// A hit on the most recently used way leaves the order as it is.
 		if st.tags[st.order&0xF] == tag {
-			t.hits++
+			t.Hits++
 			continue
 		}
 		way := st.lookup(tag)
 		if way >= 0 {
 			st.touch(way)
-			t.hits++
+			t.Hits++
 			continue
 		}
 		if uint64(i) < epcLines {
-			t.epcMisses++
+			t.EPCMisses++
 		}
 		if st.fill(tag, run) {
-			t.evictions++
+			t.Evictions++
 		}
 	}
-	t.misses = n - t.hits
+	t.Misses = n - t.Hits
 	return t
 }
 
@@ -441,7 +420,7 @@ func (c *LLC) Access(t *cycles.Thread, cos CoS, paddr uint64, write bool) bool {
 	if epc {
 		epcEnd = la + 1
 	}
-	if c.probe(c.run(cos), la, la, epcEnd).hits != 0 {
+	if c.probe(c.run(cos), la, la, epcEnd).Hits != 0 {
 		t.Charge(c.model.LLCHit)
 		return true
 	}
@@ -474,7 +453,7 @@ func (c *LLC) AccessRange(t *cycles.Thread, cos CoS, paddr uint64, n int, write 
 	mlp = min(mlp, lines)
 	r := c.probe(c.run(cos), first, last, c.epcLineEnd)
 	missCost := c.model.EPCMissCycles(write, paddr < c.epcLimit) / mlp
-	t.Charge(lines*c.model.L1Hit + r.hits*c.model.LLCHit + r.misses*missCost)
+	t.Charge(lines*c.model.L1Hit + r.Hits*c.model.LLCHit + r.Misses*missCost)
 }
 
 // InstallRange installs the lines of [paddr, paddr+n) into the cache,
@@ -496,12 +475,14 @@ func (c *LLC) InstallRange(t *cycles.Thread, cos CoS, paddr uint64, n int) {
 
 // Stats returns a snapshot of the aggregate counters.
 func (c *LLC) Stats() Stats {
-	return Stats{
-		Hits:      c.stats.hits.Load(),
-		Misses:    c.stats.misses.Load(),
-		EPCMisses: c.stats.epcMisses.Load(),
-		Evictions: c.stats.evictions.Load(),
+	var t Stats
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		t.add(sh.stats)
+		sh.mu.Unlock()
 	}
+	return t
 }
 
 // Invalidate drops every cached line (benchmark hygiene between
@@ -520,10 +501,12 @@ func (c *LLC) Invalidate() {
 
 // ResetStats zeroes the aggregate counters.
 func (c *LLC) ResetStats() {
-	c.stats.hits.Store(0)
-	c.stats.misses.Store(0)
-	c.stats.epcMisses.Store(0)
-	c.stats.evictions.Store(0)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.stats = Stats{}
+		sh.mu.Unlock()
+	}
 }
 
 // Ways returns the associativity.

@@ -600,3 +600,34 @@ func TestConcurrentRangesAndPartitioning(t *testing.T) {
 		t.Fatal("no RPC-class line cached")
 	}
 }
+
+// TestStatsSeeWholeCalls streams 232 KiB ranges, each spanning several
+// shards, on one goroutine while another reads Stats. A call publishes
+// its outcomes in one step, so every snapshot holds whole calls:
+// Hits+Misses is always a multiple of the range's line count.
+func TestStatsSeeWholeCalls(t *testing.T) {
+	c, th := newLLC(t)
+	const n = 232 << 10
+	const lines = n / LineSize
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// 64 ranges span twice the cache, so calls keep missing.
+		for i := 0; i < 256; i++ {
+			c.AccessRange(th, CoSEnclave, phys.HostBase+uint64(i%64)*n, n, false)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if st := c.Stats(); (st.Hits+st.Misses)%lines != 0 {
+			t.Fatalf("Stats saw part of a call: Hits+Misses = %d, not a multiple of %d", st.Hits+st.Misses, lines)
+		}
+	}
+	if st := c.Stats(); st.Hits+st.Misses != 256*lines || st.Misses == 0 {
+		t.Fatalf("after the stream: %+v, want %d lines probed and some misses", st, 256*lines)
+	}
+}

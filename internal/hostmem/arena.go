@@ -31,12 +31,17 @@ const chunkSize = 1 << chunkShift
 // materialized lazily in 1 MiB chunks, so multi-gigabyte experiments
 // only pay for pages they actually touch. An Arena is safe for
 // concurrent use; byte-range races are the caller's concern, exactly as
-// with real shared memory.
+// with real shared memory. Accesses outside the arena panic.
 type Arena struct {
 	//eleos:lockorder 140
-	mu     sync.RWMutex
-	chunks map[uint64][]byte
-	alloc  *Buddy
+	mu    sync.Mutex // guards alloc only
+	alloc *Buddy
+
+	// chunks is the chunk directory: slot i holds chunk i of the arena
+	// once a compare-and-swap has materialized it. Lookups take no lock.
+	chunks   []atomic.Pointer[[chunkSize]byte]
+	resident atomic.Uint64 // materialized chunks
+	end      uint64        // HostBase + the arena's size
 
 	// trace, when set, observes every ReadAt/WriteAt — the vantage
 	// point of the untrusted OS, which sees all traffic to host memory
@@ -71,7 +76,8 @@ func NewArena(sizeBytes uint64) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Arena{chunks: make(map[uint64][]byte), alloc: b}, nil
+	chunks := make([]atomic.Pointer[[chunkSize]byte], (sizeBytes+chunkSize-1)>>chunkShift)
+	return &Arena{alloc: b, chunks: chunks, end: phys.HostBase + sizeBytes}, nil
 }
 
 // Alloc reserves n bytes of untrusted memory and returns its physical
@@ -106,9 +112,10 @@ func (a *Arena) InUse() uint64 {
 
 // WriteAt copies data into the arena at physical address addr.
 func (a *Arena) WriteAt(addr uint64, data []byte) {
+	a.check(addr, len(data))
 	a.observe(addr, len(data), true)
 	for len(data) > 0 {
-		c := a.chunkForWrite(addr)
+		c := a.chunk(addr, true)
 		off := addr & (chunkSize - 1)
 		n := copy(c[off:], data)
 		data = data[n:]
@@ -119,18 +126,15 @@ func (a *Arena) WriteAt(addr uint64, data []byte) {
 // ReadAt copies bytes from the arena at addr into buf. Untouched memory
 // reads as zero.
 func (a *Arena) ReadAt(addr uint64, buf []byte) {
+	a.check(addr, len(buf))
 	a.observe(addr, len(buf), false)
 	for len(buf) > 0 {
 		off := addr & (chunkSize - 1)
-		n := chunkSize - int(off)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		c := a.chunkForRead(addr)
-		if c == nil {
-			clear(buf[:n])
-		} else {
+		n := min(chunkSize-int(off), len(buf))
+		if c := a.chunk(addr, false); c != nil {
 			copy(buf[:n], c[off:])
+		} else {
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		addr += uint64(n)
@@ -145,40 +149,37 @@ func (a *Arena) Slice(addr uint64, n int) []byte {
 	if n <= 0 || int(addr&(chunkSize-1))+n > chunkSize {
 		return nil
 	}
-	c := a.chunkForWrite(addr)
+	a.check(addr, n)
+	c := a.chunk(addr, true)
 	off := addr & (chunkSize - 1)
 	return c[off : int(off)+n]
 }
 
-func (a *Arena) chunkForRead(addr uint64) []byte {
-	a.mu.RLock()
-	c := a.chunks[addr>>chunkShift]
-	a.mu.RUnlock()
-	return c
+// check panics unless [addr, addr+n) lies inside the arena.
+func (a *Arena) check(addr uint64, n int) {
+	if addr < phys.HostBase || addr > a.end || uint64(n) > a.end-addr {
+		panic(fmt.Sprintf("hostmem: %d-byte access at %#x outside the arena [%#x, %#x)", n, addr, phys.HostBase, a.end))
+	}
 }
 
-func (a *Arena) chunkForWrite(addr uint64) []byte {
-	key := addr >> chunkShift
-	a.mu.RLock()
-	c := a.chunks[key]
-	a.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if c = a.chunks[key]; c == nil {
-		c = make([]byte, chunkSize)
-		a.chunks[key] = c
+// chunk returns the storage of addr's chunk, materializing it if create
+// is set; otherwise it returns nil for a chunk never written. Racing
+// creators agree on one chunk: the compare-and-swap winner's.
+func (a *Arena) chunk(addr uint64, create bool) *[chunkSize]byte {
+	slot := &a.chunks[(addr-phys.HostBase)>>chunkShift]
+	c := slot.Load()
+	if c == nil && create {
+		if slot.CompareAndSwap(nil, new([chunkSize]byte)) {
+			a.resident.Add(1)
+		}
+		c = slot.Load()
 	}
 	return c
 }
 
 // Footprint returns the bytes of host storage actually materialized.
 func (a *Arena) Footprint() uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return uint64(len(a.chunks)) * chunkSize
+	return a.resident.Load() * chunkSize
 }
 
 func (a *Arena) String() string {

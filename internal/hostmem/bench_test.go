@@ -30,3 +30,20 @@ func BenchmarkArenaReadAt(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkArenaReadAt8 reads one 8-byte word from a written chunk, the
+// arena's share of a simulated metadata read or doorbell.
+func BenchmarkArenaReadAt8(b *testing.B) {
+	a, _ := NewArena(16 << 30)
+	addr, err := a.Alloc(chunkSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf [8]byte
+	a.WriteAt(addr, buf[:])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.ReadAt(addr, buf[:])
+	}
+}

@@ -3,7 +3,10 @@ package hostmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -221,5 +224,80 @@ func TestArenaFootprintSparse(t *testing.T) {
 	a.WriteAt(addr, []byte{1})  // ...but only one byte touched
 	if fp := a.Footprint(); fp > 4<<20 {
 		t.Fatalf("sparse arena materialized %d bytes for a 1-byte write", fp)
+	}
+}
+
+// TestArenaOutOfBoundsPanics pins that every raw accessor refuses an
+// address range outside [HostBase, HostBase+size) and names the address
+// and the bounds, rather than materialize storage outside the arena.
+func TestArenaOutOfBoundsPanics(t *testing.T) {
+	const size = 4 << 20
+	a, _ := NewArena(size)
+	end := phys.HostBase + size
+	for _, tc := range []struct {
+		name string
+		addr uint64
+		op   func(addr uint64)
+	}{
+		{"ReadAt below", phys.HostBase - 8, func(addr uint64) { a.ReadAt(addr, make([]byte, 8)) }},
+		{"ReadAt past the end", end - 4, func(addr uint64) { a.ReadAt(addr, make([]byte, 8)) }},
+		{"WriteAt past the end", end, func(addr uint64) { a.WriteAt(addr, []byte{1}) }},
+		{"WriteAt far above", end + 1<<30, func(addr uint64) { a.WriteAt(addr, []byte{1}) }},
+		{"Slice past the end", end, func(addr uint64) { a.Slice(addr, 8) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{fmt.Sprintf("%#x", tc.addr), fmt.Sprintf("%#x", uint64(phys.HostBase)), fmt.Sprintf("%#x", end)} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("panic %q does not name %s", msg, want)
+					}
+				}
+			}()
+			tc.op(tc.addr)
+		})
+	}
+	if fp := a.Footprint(); fp != 0 {
+		t.Fatalf("refused accesses materialized %d bytes", fp)
+	}
+	// The last byte of the arena is in bounds.
+	a.WriteAt(end-1, []byte{7})
+	if got := a.Slice(end-1, 1); got[0] != 7 {
+		t.Fatalf("last arena byte = %d, want 7", got[0])
+	}
+}
+
+// TestArenaConcurrentMaterialize has goroutines race to materialize one
+// chunk, each writing its own byte: the chunk directory must install a
+// single chunk, so every write is visible and one chunk is resident.
+func TestArenaConcurrentMaterialize(t *testing.T) {
+	const writers = 8
+	a, _ := NewArena(1 << 30)
+	addr, _ := a.Alloc(chunkSize)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			if w%2 == 0 {
+				a.WriteAt(addr+uint64(w), []byte{byte(w + 1)})
+			} else {
+				a.Slice(addr+uint64(w), 1)[0] = byte(w + 1)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	got := make([]byte, writers)
+	a.ReadAt(addr, got)
+	for w, b := range got {
+		if b != byte(w+1) {
+			t.Fatalf("byte %d = %d, want %d: a racing materialization lost a write", w, b, w+1)
+		}
+	}
+	if fp := a.Footprint(); fp != chunkSize {
+		t.Fatalf("footprint %d after materializing one chunk, want %d", fp, chunkSize)
 	}
 }

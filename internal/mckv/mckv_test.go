@@ -308,3 +308,33 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestGetSetZeroAlloc pins that a Get hit, including the key compare
+// against the stored copy, and a Set replacing an existing item
+// allocate nothing on the host. The direct placement is left out: its
+// sub-page sealing allocates in seal.
+func TestGetSetZeroAlloc(t *testing.T) {
+	for _, pl := range []Placement{PlaceHost, PlaceEnclave, PlaceSUVM} {
+		t.Run(pl.String(), func(t *testing.T) {
+			e := newEnv(t)
+			s := e.store(t, pl, 8<<20)
+			key, val, buf := []byte("key-0001"), make([]byte, 32), make([]byte, 64)
+			if err := s.Set(e.th, key, val); err != nil {
+				t.Fatal(err)
+			}
+			get := testing.AllocsPerRun(100, func() {
+				if _, err := s.Get(e.th, key, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			set := testing.AllocsPerRun(100, func() {
+				if err := s.Set(e.th, key, val); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if get != 0 || set != 0 {
+				t.Fatalf("Get hit allocates %.1f and Set %.1f per op, want 0", get, set)
+			}
+		})
+	}
+}

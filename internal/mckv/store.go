@@ -105,6 +105,8 @@ type Store struct {
 
 	itemCount uint64
 	evictions uint64
+
+	buf []byte // scratch for blob headers and stored keys, guarded by mu
 }
 
 // NewStore builds a store; setup pays the (unmeasured) allocation costs.
@@ -278,12 +280,12 @@ func (s *Store) findLocked(th *sgx.Thread, key []byte, hash uint64) (uint64, uin
 	for idx != 0 {
 		if s.recRead(th, idx, 40) == hash {
 			blobOff := s.recRead(th, idx, 24)
-			var hdr [blobHdr]byte
-			if err := s.pool.Read(th, blobOff, hdr[:]); err != nil {
+			hdr := s.scratch(blobHdr)
+			if err := s.pool.Read(th, blobOff, hdr); err != nil {
 				return 0, 0, err
 			}
 			if int(leU32(hdr[0:4])) == len(key) {
-				stored := make([]byte, len(key))
+				stored := s.scratch(len(key))
 				if err := s.pool.Read(th, blobOff+blobHdr, stored); err != nil {
 					return 0, 0, err
 				}
@@ -296,6 +298,15 @@ func (s *Store) findLocked(th *sgx.Thread, key []byte, hash uint64) (uint64, uin
 		idx = s.recRead(th, idx, 0)
 	}
 	return 0, prev, nil
+}
+
+// scratch returns n bytes of the store's scratch buffer, which the
+// next call reuses. The caller holds s.mu.
+func (s *Store) scratch(n int) []byte {
+	if cap(s.buf) < n {
+		s.buf = make([]byte, n)
+	}
+	return s.buf[:n]
 }
 
 // Set inserts or replaces an item, evicting LRU items on memory
@@ -337,10 +348,10 @@ func (s *Store) Set(th *sgx.Thread, key, val []byte) error {
 	}
 
 	// Payload into protected memory: sizes + key + value.
-	var hdr [blobHdr]byte
+	hdr := s.scratch(blobHdr)
 	putLeU32(hdr[0:4], uint32(len(key)))
 	putLeU32(hdr[4:8], uint32(len(val)))
-	if err := s.pool.Write(th, blobOff, hdr[:]); err != nil {
+	if err := s.pool.Write(th, blobOff, hdr); err != nil {
 		return err
 	}
 	if err := s.pool.Write(th, blobOff+blobHdr, key); err != nil {
@@ -378,8 +389,8 @@ func (s *Store) Get(th *sgx.Thread, key []byte, valBuf []byte) (int, error) {
 		return 0, ErrNotFound
 	}
 	blobOff := s.recRead(th, idx, 24)
-	var hdr [blobHdr]byte
-	if err := s.pool.Read(th, blobOff, hdr[:]); err != nil {
+	hdr := s.scratch(blobHdr)
+	if err := s.pool.Read(th, blobOff, hdr); err != nil {
 		return 0, err
 	}
 	klen, vlen := int(leU32(hdr[0:4])), int(leU32(hdr[4:8]))

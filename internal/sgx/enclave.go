@@ -32,8 +32,18 @@ type page struct {
 	blobAddr uint64
 	nonce    seal.Nonce
 	tag      [seal.TagSize]byte
-	accessed atomic.Bool // clock reference bit; set on access under RLock
+	// accessed (the clock reference bit) and dirty are set by accesses
+	// under pagingMu's read lock and cleared only under its write lock.
+	accessed atomic.Bool
 	dirty    atomic.Bool
+}
+
+// setFlag sets f unless it is already set: a load, not a locked
+// exchange, on the common path.
+func setFlag(f *atomic.Bool) {
+	if !f.Load() {
+		f.Store(true)
+	}
 }
 
 // EnclaveStats counts per-enclave events. All counters are atomic so

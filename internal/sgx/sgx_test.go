@@ -320,3 +320,17 @@ func TestLLCPartitioningIsolatesRPCWays(t *testing.T) {
 		t.Fatalf("CAT did not protect enclave lines: misses with=%d without=%d", withCAT, withoutCAT)
 	}
 }
+
+// TestTouchEmptyRangeIsFree pins that an empty or negative Touch walks
+// no page: the last page of [addr, addr+n) is undefined for n <= 0, and
+// at an address inside a page the old bound named that page.
+func TestTouchEmptyRangeIsFree(t *testing.T) {
+	p := testPlatform(t, 4<<20)
+	for _, n := range []int{0, -1} {
+		th := p.NewHostThread(cache.CoSDefault)
+		th.HostContext().Touch(phys.HostBase+100, n, false)
+		if c, m := th.T.Cycles(), th.TLB.Misses(); c != 0 || m != 0 {
+			t.Errorf("Touch(HostBase+100, %d) charged %d cycles and %d TLB misses, want 0 and 0", n, c, m)
+		}
+	}
+}

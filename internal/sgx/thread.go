@@ -212,8 +212,11 @@ func (c *HostCtx) Write(addr uint64, data []byte) { c.th.hostAccess(addr, data, 
 // without moving real bytes — used to model kernel-internal buffer
 // traffic (e.g. NIC ring to socket buffer copies) whose content is
 // irrelevant but whose cache footprint is the pollution the paper
-// measures.
+// measures. An empty range costs nothing.
 func (c *HostCtx) Touch(addr uint64, n int, write bool) {
+	if n <= 0 {
+		return
+	}
 	vp := phys.PageNum(addr)
 	end := phys.PageNum(addr + uint64(n-1))
 	for ; vp <= end; vp++ {
@@ -310,8 +313,8 @@ func (th *Thread) streamResident(e *Enclave, vpage, idx, pageOff uint64, data []
 		e.pagingMu.RLock()
 		p := &e.pages[idx]
 		if p.state == pageResident {
-			p.accessed.Store(true)
-			p.dirty.Store(true)
+			setFlag(&p.accessed)
+			setFlag(&p.dirty)
 			frame := p.frame
 			copy(e.plat.Driver.frameData(frame)[pageOff:], data)
 			e.pagingMu.RUnlock()
@@ -380,9 +383,9 @@ func (th *Thread) copyResident(e *Enclave, vpage, idx, pageOff uint64, buf []byt
 		}
 		p := &e.pages[idx]
 		if p.state == pageResident {
-			p.accessed.Store(true)
+			setFlag(&p.accessed)
 			if write {
-				p.dirty.Store(true)
+				setFlag(&p.dirty)
 			}
 			frame := p.frame
 			data := e.plat.Driver.frameData(frame)
@@ -437,8 +440,10 @@ func (th *Thread) hwFault(e *Enclave, idx uint64, write bool) {
 // forces an AEX + TLB flush on this core, the indirect cost Table 2 of
 // the paper attributes to multi-threaded SGX paging.
 func (th *Thread) deliverPendingIPIs() {
-	n := th.pendingIPI.Swap(0)
-	for ; n > 0; n-- {
+	if th.pendingIPI.Load() == 0 {
+		return // the common case: a load, not a locked exchange
+	}
+	for n := th.pendingIPI.Swap(0); n > 0; n-- {
 		th.T.Charge(th.plat.Model.AEX)
 		th.TLB.FlushEPC()
 	}

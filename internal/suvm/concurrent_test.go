@@ -196,3 +196,78 @@ func TestManualSwapperTick(t *testing.T) {
 		t.Fatal("manual swapper tick reclaimed nothing from a full cache")
 	}
 }
+
+// TestReleaseKeepsDirtyBitUnderEviction pins the lock-free release: a
+// writer's release sets the frame's dirty bit before it drops the pin,
+// so an eviction racing with it either sees the pin and backs off or
+// sees the dirty bit and writes the page back. Writers store distinct
+// values into shared pages through unlinked accesses while a churn
+// thread shrinks and regrows EPC++ under them; a lost dirty bit drops a
+// written page as clean, and a later read returns a stale value. The
+// final shrink also fails on a frame that a duplicated page-in left
+// holding a page the resident table no longer maps.
+func TestReleaseKeepsDirtyBitUnderEviction(t *testing.T) {
+	const (
+		writers = 4
+		pages   = 8
+		rounds  = 2000
+	)
+	e := newEnv(t, Config{PageCacheBytes: 16 << 12, BackingBytes: 64 << 20})
+	p, err := e.h.Malloc(pages << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done atomic.Bool
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		th := e.encl.NewThread()
+		th.Enter()
+		defer th.Exit()
+		for i := 0; !done.Load(); i++ {
+			// A shrink may fail against a transient pin; the next
+			// round retries.
+			_ = e.h.ResizeTo(th, uint64(4+12*(i%2))<<12)
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			th := e.encl.NewThread()
+			th.Enter()
+			defer th.Exit()
+			q := p.Clone() // an SPtr is used by one thread at a time
+			// Writer w owns the word at offset 8w of every page.
+			for r := 1; r <= rounds; r++ {
+				off := uint64(r%pages)<<12 + uint64(8*w)
+				v := uint64(w)<<32 | uint64(r)
+				if err := q.PutU64At(th, off, v); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				if got, err := q.U64At(th, off); err != nil || got != v {
+					t.Errorf("writer %d round %d: read %#x (%v), wrote %#x", w, r, got, err, v)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	done.Store(true)
+	churn.Wait()
+	// Every page's last value per writer survives the final evictions.
+	if err := e.h.ResizeTo(e.th, 4<<12); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < writers; w++ {
+		for r := rounds - pages + 1; r <= rounds; r++ {
+			off := uint64(r%pages)<<12 + uint64(8*w)
+			if got, _ := p.U64At(e.th, off); got != uint64(w)<<32|uint64(r) {
+				t.Fatalf("writer %d page %d: read %#x, want %#x", w, r%pages, got, uint64(w)<<32|uint64(r))
+			}
+		}
+	}
+}

@@ -23,7 +23,7 @@ func (h *Heap) acquire(th *sgx.Thread, bsPage uint64, d *Domain) (int32, error) 
 	if f, ok := sh.m[bsPage]; ok {
 		fm := &h.frames[f]
 		fm.refcnt.Add(1)
-		fm.accessed.Store(true)
+		setFlag(&fm.accessed)
 		sh.mu.Unlock()
 		d.stats.minorFaults.Add(1)
 		return f, nil
@@ -34,20 +34,19 @@ func (h *Heap) acquire(th *sgx.Thread, bsPage uint64, d *Domain) (int32, error) 
 
 // release drops the pin taken by acquire, propagating the access's dirty
 // state into the page table (the paper copies the spointer dirty bit on
-// unlink, §3.2.4).
+// unlink, §3.2.4). It charges the resident-shard lock the paper's
+// unpin takes, but needs no host lock: it sets dirty before the
+// decrement that may unpin the frame, and evictFrame reads refcnt and
+// then dirty, so an eviction that sees the pin gone sees the dirty bit.
 func (h *Heap) release(th *sgx.Thread, f int32, dirty bool) {
 	fm := &h.frames[f]
-	sh := h.resident.shard(fm.bsPage.Load())
 	h.lockCost(th)
-	sh.mu.Lock()
+	if dirty {
+		setFlag(&fm.dirty)
+	}
 	if fm.refcnt.Add(-1) < 0 {
-		sh.mu.Unlock()
 		panic("suvm: frame reference count underflow")
 	}
-	if dirty {
-		fm.dirty.Store(true)
-	}
-	sh.mu.Unlock()
 }
 
 // majorFault pages bsPage into EPC++ — entirely inside the enclave: no
@@ -67,21 +66,24 @@ func (h *Heap) majorFault(th *sgx.Thread, bsPage uint64, d *Domain) (int32, erro
 	for {
 		// Recheck residency: another thread may have paged this page in
 		// while we were reaching the slow path (or while we waited on its
-		// in-flight entry below).
+		// in-flight entry below). Both checks hold the in-flight shard
+		// lock: a page-in maps its page before it unpublishes its entry,
+		// so a page-in finishing between them cannot go unseen and be
+		// repeated into a second frame.
 		sh := h.resident.shard(bsPage)
+		is := h.inflight.shard(bsPage)
+		is.mu.Lock()
 		sh.mu.Lock()
 		if f, ok := sh.m[bsPage]; ok {
 			fm := &h.frames[f]
 			fm.refcnt.Add(1)
-			fm.accessed.Store(true)
+			setFlag(&fm.accessed)
 			sh.mu.Unlock()
+			is.mu.Unlock()
 			d.stats.minorFaults.Add(1)
 			return f, nil
 		}
 		sh.mu.Unlock()
-
-		is := h.inflight.shard(bsPage)
-		is.mu.Lock()
 		if op, ok := is.m[bsPage]; ok {
 			// Someone else owns this page's fault (or is evicting it):
 			// wait, pay the queueing delay, and retry — on a coalesced
@@ -276,6 +278,9 @@ func (h *Heap) evictFrame(th *sgx.Thread, f int32) (bool, *inflightOp) {
 		h.finishInflight(th, is, bsPage, op)
 		return false, nil
 	}
+	// refcnt is 0, and the shard lock keeps acquire from pinning again.
+	// A writer's release sets dirty before it decrements refcnt, so the
+	// load below, ordered after the load of refcnt, sees every write.
 	delete(sh.m, bsPage)
 	dirty := fm.dirty.Load()
 	fm.dirty.Store(false)

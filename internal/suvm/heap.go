@@ -342,17 +342,26 @@ type frameMeta struct {
 	// the in-flight entry during a page-in) but read optimistically by
 	// victim selection, hence atomic like refcnt.
 	bsPage atomic.Uint64
-	// refcnt is mutated only under the bsPage's resident-table shard
-	// lock (so check-then-evict stays atomic) but read optimistically by
-	// victim selection, hence the atomic type.
+	// refcnt is raised only under the bsPage's resident-table shard
+	// lock (so check-then-evict stays atomic) but dropped by release
+	// without it, and read optimistically by victim selection.
 	refcnt   atomic.Int32
 	accessed atomic.Bool // clock reference bit
-	dirty    atomic.Bool // set by writers; consumed under the shard lock at eviction
+	dirty    atomic.Bool // set by pin holders; consumed under the shard lock at eviction
 	disabled bool        // removed from EPC++ by ballooning (under the exclusive resize epoch)
 	// dom is the domain this frame belongs to. Written only under the
 	// exclusive resize epoch (NewDomain), read by fault and eviction
 	// paths holding the epoch shared.
 	dom *Domain
+}
+
+// setFlag sets f unless it is already set: a load, not a locked
+// exchange, on the common path. Skipping the store after loading true
+// is the same as storing true at that load, so no outcome changes.
+func setFlag(f *atomic.Bool) {
+	if !f.Load() {
+		f.Store(true)
+	}
 }
 
 const iptEntryBytes = 16

@@ -148,11 +148,11 @@ func (p *SPtr) accessCurrent(th *sgx.Thread, buf []byte, write bool) error {
 		if write {
 			th.Write(fv, buf)
 			p.dirty = true
-			h.frames[p.frame].dirty.Store(true) // also visible pre-unlink; see note below
+			setFlag(&h.frames[p.frame].dirty) // also visible pre-unlink; see note below
 		} else {
 			th.Read(fv, buf)
 		}
-		h.frames[p.frame].accessed.Store(true)
+		setFlag(&h.frames[p.frame].accessed)
 		return nil
 	}
 	if !withinPage {
@@ -173,7 +173,7 @@ func (p *SPtr) accessCurrent(th *sgx.Thread, buf []byte, write bool) error {
 	if write {
 		th.Write(fv, buf)
 		p.dirty = true
-		h.frames[f].dirty.Store(true)
+		setFlag(&h.frames[f].dirty)
 	} else {
 		th.Read(fv, buf)
 	}
@@ -183,9 +183,10 @@ func (p *SPtr) accessCurrent(th *sgx.Thread, buf []byte, write bool) error {
 // Note on the linked write path: the paper defers copying the spointer
 // dirty bit into the page table until unlink to save page-table stores.
 // A pinned page can never be evicted, so the deferred copy is safe
-// there; our frames' dirty flags are guarded by the shard lock only on
-// release/evict, and a linked frame is pinned, so setting it directly at
-// write time is equally safe and keeps Free/crash paths conservative.
+// there; our frames' dirty flags are cleared only by an eviction, under
+// the shard lock, of a frame with no pin, and a linked frame is pinned,
+// so setting it directly at write time is equally safe and keeps
+// Free/crash paths conservative.
 
 // Get reads the byte at the current offset (the paper's get macro).
 func (p *SPtr) Get(th *sgx.Thread) (byte, error) {

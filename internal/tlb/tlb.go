@@ -31,10 +31,15 @@ import (
 // bumping a counter rather than sweeping the array. Round-robin
 // replacement ignores liveness, so the victims are the same as with a
 // sweep.
+//
+// A lookup checks its set's hint, the way of the set's last hit or
+// fill, before it scans the ways. A page has at most one live entry,
+// so the search order changes no outcome.
 type TLB struct {
 	model   *cycles.Model
 	entries []entry // set i is entries[i*ways : (i+1)*ways]
 	rr      []uint8 // per-set round-robin pointer
+	hint    []uint8 // per-set way of the last hit or fill
 	ways    int
 	mask    uint64
 
@@ -86,6 +91,7 @@ func New(m *cycles.Model, cfg Config) *TLB {
 		model:   m,
 		entries: make([]entry, numSets*cfg.Ways),
 		rr:      make([]uint8, numSets),
+		hint:    make([]uint8, numSets),
 		ways:    cfg.Ways,
 		mask:    uint64(numSets - 1),
 		stamp:   [2]uint64{2, 3},
@@ -111,8 +117,13 @@ func (t *TLB) live(e *entry, vpage uint64) bool {
 //eleos:hotpath budget=0
 func (t *TLB) Access(th *cycles.Thread, vpage uint64, epc bool) (hit bool) {
 	s := t.set(vpage)
+	idx := vpage & t.mask
+	if t.live(&s[t.hint[idx]], vpage) {
+		return true
+	}
 	for i := range s {
 		if t.live(&s[i], vpage) {
+			t.hint[idx] = uint8(i)
 			return true
 		}
 	}
@@ -124,9 +135,9 @@ func (t *TLB) Access(th *cycles.Thread, vpage uint64, epc bool) (hit bool) {
 	} else {
 		th.Charge(t.model.TLBMiss)
 	}
-	idx := vpage & t.mask
 	way := t.rr[idx]
 	t.rr[idx] = uint8((int(way) + 1) % len(s))
+	t.hint[idx] = way
 	s[way] = entry{vpage: vpage, stamp: t.stamp[kind]}
 	return false
 }

@@ -180,26 +180,43 @@ func TestMatchesReferenceModel(t *testing.T) {
 	for _, cfg := range geometries {
 		for seed := int64(1); seed <= 3; seed++ {
 			name := fmt.Sprintf("entries=%d/ways=%d/seed=%d", cfg.Entries, cfg.Ways, seed)
-			t.Run(name, func(t *testing.T) { checkAgainstReference(t, cfg, seed) })
+			t.Run(name, func(t *testing.T) { checkAgainstReference(t, cfg, seed, 2*len(New(nil, cfg).entries)) })
 		}
 	}
 }
 
-func checkAgainstReference(t *testing.T, cfg Config, seed int64) {
+// TestHintMatchesReferenceModel drives the reference comparison with
+// three pages per set, fewer than any set's ways, so that most lookups
+// hit: on the set's hinted way, or on another one.
+func TestHintMatchesReferenceModel(t *testing.T) {
+	for _, cfg := range []Config{{}, {Entries: 64, Ways: 4}, {Entries: 96, Ways: 6}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("entries=%d/ways=%d/seed=%d", cfg.Entries, cfg.Ways, seed)
+			t.Run(name, func(t *testing.T) { checkAgainstReference(t, cfg, seed, 3*len(New(nil, cfg).rr)) })
+		}
+	}
+}
+
+// checkAgainstReference runs the comparison over pages drawn from
+// [0, pages). It also requires both kinds of hit: on the set's hinted
+// way, and found by the scan.
+func checkAgainstReference(t *testing.T, cfg Config, seed int64, pages int) {
 	m := cycles.DefaultModel()
 	tl := New(m, cfg)
 	ref := newRefTLB(m, len(tl.rr), tl.ways)
 	tt, rt := cycles.NewThread(1, m), cycles.NewThread(2, m)
 	rng := rand.New(rand.NewSource(seed))
-	pages := uint64(2 * len(tl.entries))
-	var hits, flushedHits int
+	var hits, flushedHits, hintHits int
 	for op := 0; op < 20000; op++ {
-		vpage := rng.Uint64() % pages
+		vpage := rng.Uint64() % uint64(pages)
 		epc := rng.Intn(2) == 0
 		var desc string
 		switch p := rng.Intn(100); {
 		case p < 70:
 			desc = fmt.Sprintf("Access(%d, %v)", vpage, epc)
+			if tl.live(&tl.set(vpage)[tl.hint[vpage&tl.mask]], vpage) {
+				hintHits++
+			}
 			got, want := tl.Access(tt, vpage, epc), ref.access(rt, vpage, epc)
 			if got != want {
 				t.Fatalf("op %d: %s hit=%v, reference %v", op, desc, got, want)
@@ -236,8 +253,9 @@ func checkAgainstReference(t *testing.T, cfg Config, seed int64) {
 				op, desc, tl.Misses(), tl.Flushes(), ref.misses, ref.flushes)
 		}
 	}
-	if hits == 0 || flushedHits == 0 || ref.misses == 0 {
-		t.Fatalf("sequence too narrow: %d hits (%d after a flush), %d misses", hits, flushedHits, ref.misses)
+	if hits == 0 || flushedHits == 0 || ref.misses == 0 || hintHits == 0 || hintHits == hits {
+		t.Fatalf("sequence too narrow: %d hits (%d after a flush, %d on the hint), %d misses",
+			hits, flushedHits, hintHits, ref.misses)
 	}
 }
 
