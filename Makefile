@@ -10,7 +10,8 @@
 #                  (BENCH_rpc_async.json, BENCH_io_engine.json,
 #                  BENCH_selftune.json, BENCH_consolidation.json,
 #                  BENCH_fleet.json and BENCH_traffic.json in the repo
-#                  root)
+#                  root) and the 17 paper and ablation artifacts under
+#                  testdata/bench-paper
 #   make bench-gate
 #                — the variance-aware perf gate: run the open-loop
 #                  traffic experiment at smoke size and compare against
@@ -20,8 +21,9 @@
 #                  consolidation experiment and the RPC submission-mode
 #                  experiment (BENCH_selftune.json, BENCH_fleet.json,
 #                  BENCH_consolidation.json, BENCH_rpc_async.json) and
-#                  fail unless each is byte-identical to the checked-in
-#                  file
+#                  the 17 paper and ablation experiments
+#                  (testdata/bench-paper/BENCH_*.json), and fail unless
+#                  each is byte-identical to the checked-in file
 #   make bench-gate-baseline
 #                — regenerate the checked-in bench-gate baseline (run
 #                  after a deliberate performance or schema change)
@@ -45,6 +47,16 @@ GATE_BASELINE = testdata/bench-gate
 # constructed; rpc-async pins where the RPC pool places each call. A
 # deliberate change regenerates them with `make bench`.
 GATE_EXACT = BENCH_selftune.json BENCH_fleet.json BENCH_consolidation.json BENCH_rpc_async.json
+
+# The paper and ablation experiments whose -quick output is
+# byte-identical run to run. The gate compares each regenerated file
+# in GATE_PAPER_DIR exactly, so a refactor of anything they drive must
+# leave every printed figure alone. The other seven (fig7b, tab2,
+# suvm-mt, fig9, fig10, fig11, tab4) run simulated threads as free
+# goroutines, so host scheduling moves their output; they join once
+# every simulated thread runs on virtual time.
+GATE_PAPER = fig1,tab1,fig2a,fig2b,fig6a,fig6b,fig6c,fig7a,fig8a,fig8b,tab3,pflat,abl-wb,abl-link,abl-pgsz,abl-evict,abl-batch
+GATE_PAPER_DIR = testdata/bench-paper
 
 .PHONY: check fmt vet build test race bench bench-gate bench-gate-baseline lint eleoslint staticcheck
 
@@ -92,6 +104,7 @@ staticcheck:
 
 bench:
 	$(GO) run ./cmd/eleos-bench -quick -run rpc-async,io-engine,selftune,consolidation,fleet,traffic -json .
+	$(GO) run ./cmd/eleos-bench -quick -run $(GATE_PAPER) -json $(GATE_PAPER_DIR)
 
 bench-gate:
 	$(GO) build -o $(BIN)/perfdiff ./cmd/perfdiff
@@ -100,6 +113,10 @@ bench-gate:
 	$(GO) run ./cmd/eleos-bench -quick -run selftune,fleet,consolidation,rpc-async -json $(BIN)/gate >/dev/null
 	@for f in $(GATE_EXACT); do \
 		cmp $$f $(BIN)/gate/$$f || { echo "bench-gate: $$f differs from the checked-in file" >&2; exit 1; }; \
+	done
+	$(GO) run ./cmd/eleos-bench -quick -run $(GATE_PAPER) -json $(BIN)/gate/paper >/dev/null
+	@for f in $(GATE_PAPER_DIR)/BENCH_*.json; do \
+		cmp $$f $(BIN)/gate/paper/$${f##*/} || { echo "bench-gate: $$f differs from the checked-in file" >&2; exit 1; }; \
 	done
 
 bench-gate-baseline:
