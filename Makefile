@@ -18,10 +18,12 @@
 #                  the checked-in baseline with cmd/perfdiff; fails on
 #                  a significant regression or a shape change. Then
 #                  regenerate the two controller artifacts, the
-#                  consolidation experiment and the RPC submission-mode
-#                  experiment (BENCH_selftune.json, BENCH_fleet.json,
-#                  BENCH_consolidation.json, BENCH_rpc_async.json) and
-#                  the 17 paper and ablation experiments
+#                  consolidation experiment, the RPC submission-mode
+#                  experiment and the exit-less I/O engine experiment
+#                  (BENCH_selftune.json, BENCH_fleet.json,
+#                  BENCH_consolidation.json, BENCH_rpc_async.json,
+#                  BENCH_io_engine.json) and the 17 paper and ablation
+#                  experiments
 #                  (testdata/bench-paper/BENCH_*.json), and fail unless
 #                  each is byte-identical to the checked-in file
 #   make bench-gate-baseline
@@ -39,14 +41,16 @@ BIN ?= bin
 GATE_FLAGS = -quick -ops 5000 -runs 3 -run traffic
 GATE_BASELINE = testdata/bench-gate
 
-# The controller experiments, the consolidation experiment and the RPC
-# submission-mode experiment print only virtual-cycle figures, decision
-# counts and queue depths, so they regenerate byte-identical on
-# unchanged code: the gate compares them exactly. Consolidation builds
-# through eleos.NewRuntime, so it also pins how the public runtime is
-# constructed; rpc-async pins where the RPC pool places each call. A
-# deliberate change regenerates them with `make bench`.
-GATE_EXACT = BENCH_selftune.json BENCH_fleet.json BENCH_consolidation.json BENCH_rpc_async.json
+# The controller experiments, the consolidation experiment, the RPC
+# submission-mode experiment and the I/O engine experiment print only
+# virtual-cycle figures, decision counts and queue depths, so they
+# regenerate byte-identical on unchanged code: the gate compares them
+# exactly. Consolidation and fleet build their servers through the
+# tenant layer on eleos.NewRuntime, so they also pin how the public
+# runtime is constructed and how every tenant request runs; rpc-async
+# pins where the RPC pool places each call. A deliberate change
+# regenerates them with `make bench`.
+GATE_EXACT = BENCH_selftune.json BENCH_fleet.json BENCH_consolidation.json BENCH_rpc_async.json BENCH_io_engine.json
 
 # The paper and ablation experiments whose -quick output is
 # byte-identical run to run. The gate compares each regenerated file
@@ -110,7 +114,7 @@ bench-gate:
 	$(GO) build -o $(BIN)/perfdiff ./cmd/perfdiff
 	$(GO) run ./cmd/eleos-bench $(GATE_FLAGS) -json $(BIN)/gate >/dev/null
 	./$(BIN)/perfdiff $(GATE_BASELINE)/BENCH_traffic.json $(BIN)/gate/BENCH_traffic.json
-	$(GO) run ./cmd/eleos-bench -quick -run selftune,fleet,consolidation,rpc-async -json $(BIN)/gate >/dev/null
+	$(GO) run ./cmd/eleos-bench -quick -run selftune,fleet,consolidation,rpc-async,io-engine -json $(BIN)/gate >/dev/null
 	@for f in $(GATE_EXACT); do \
 		cmp $$f $(BIN)/gate/$$f || { echo "bench-gate: $$f differs from the checked-in file" >&2; exit 1; }; \
 	done

@@ -77,7 +77,9 @@ func (c *Ctx) MallocDirect(n uint64) (*Ptr, error) {
 
 // Exitless delegates fn to an untrusted RPC worker without leaving the
 // enclave — the Eleos replacement for OCALL. Panics if the runtime has
-// been closed (use Runtime.Pool().Call for a recoverable error).
+// been closed. For a recoverable error, submit a typed op through
+// Ctx.IO instead: its Submit and SubmitAndWait return ErrPoolStopped on
+// a closed runtime.
 func (c *Ctx) Exitless(fn func(*HostCtx)) {
 	if err := c.e.rt.pool.Call(c.th, fn); err != nil {
 		panic("eleos: Exitless on a closed runtime: " + err.Error())

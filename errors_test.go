@@ -241,6 +241,12 @@ func TestSentinelErrorTable(t *testing.T) {
 		{"PoolStopped/CallBatch", ErrPoolStopped, func(t *testing.T) error {
 			return closedRT.Pool().CallBatch(closedCtx.Thread(), []func(*HostCtx){func(h *HostCtx) {}})
 		}},
+		{"PoolStopped/Ctx.IO SubmitAndWait", ErrPoolStopped, func(t *testing.T) error {
+			q := closedCtx.IO()
+			q.Push(IOFsync{})
+			_, err := q.SubmitAndWait()
+			return err
+		}},
 		{"PoolStopped/mckv ServeGet", ErrPoolStopped, func(t *testing.T) error {
 			store, err := mckv.NewStore(closedRT.Platform(), closedCtx.Thread(), mckv.Config{
 				MemLimitBytes: 1 << 20,

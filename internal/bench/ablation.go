@@ -49,7 +49,7 @@ func suvmScan(cfg suvm.Config, bufBytes uint64, ops int, writeFrac int) float64 
 		}
 	}
 	run() // steady state
-	v.resetCounters()
+	resetCounters(v.plat, v.th, v.heap)
 	run()
 	return perOp(v.th.T.Cycles(), ops)
 }
@@ -168,7 +168,7 @@ func ablPageSize(rc RunConfig) (*Result, error) {
 			}
 		}
 		run()
-		v.resetCounters()
+		resetCounters(v.plat, v.th, v.heap)
 		run()
 		st := h.Stats()
 		t.AddRow(report.Bytes(uint64(ps)), perOp(v.th.T.Cycles(), ops),
@@ -220,7 +220,7 @@ func ablEviction(rc RunConfig) (*Result, error) {
 			}
 		}
 		run()
-		v.resetCounters()
+		resetCounters(v.plat, v.th, v.heap)
 		run()
 		st := h.Stats()
 		t.AddRow(pol.String(), perOp(v.th.T.Cycles(), ops),

@@ -18,7 +18,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"eleos/internal/cache"
@@ -180,38 +179,21 @@ func (v *env) close() {
 	}
 }
 
-// resetCounters clears every measured counter after warm-up.
-func (v *env) resetCounters() {
-	v.th.T.Reset()
-	v.th.TLB.ResetStats()
-	v.th.ResetEnclaveCycles()
-	v.plat.LLC.ResetStats()
-	v.plat.Driver.ResetStats()
-	if v.heap != nil {
-		v.heap.ResetStats()
+// resetCounters is the warm-up boundary: it clears th's clock, TLB and
+// enclave-cycle counters, heap's stats (heap may be nil) and the
+// platform's LLC and paging-driver counters together, so a measurement
+// starts from one shared epoch instead of the clock skew setup left.
+// Resetting the platform again for a second thread is harmless.
+func resetCounters(plat *sgx.Platform, th *sgx.Thread, heap *suvm.Heap) {
+	th.T.Reset()
+	th.TLB.ResetStats()
+	th.ResetEnclaveCycles()
+	plat.LLC.ResetStats()
+	plat.Driver.ResetStats()
+	if heap != nil {
+		heap.ResetStats()
 	}
 }
 
 // perOp converts total cycles to cycles/op.
 func perOp(cycles uint64, ops int) float64 { return float64(cycles) / float64(ops) }
-
-// allocsStart snapshots the runtime's cumulative allocation count at
-// the start of a measured loop — the -benchmem discipline applied to
-// the harness itself, so experiments can report Go-heap allocs/op next
-// to their virtual-cycle numbers. Allocations are host-side bookkeeping
-// and never cycle-charged: the column is a health check on the
-// allocation-free hot paths (eleoslint's hotpath budgets, checked
-// dynamically), not part of the golden cycle fingerprints, and may
-// jitter slightly across runs (GC may empty sync.Pools mid-loop).
-func allocsStart() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-// allocsPerOp converts an allocsStart delta to allocations per op.
-func allocsPerOp(start uint64, ops int) float64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return float64(ms.Mallocs-start) / float64(ops)
-}

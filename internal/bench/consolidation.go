@@ -4,11 +4,6 @@ import (
 	"fmt"
 
 	"eleos"
-	"eleos/internal/faceverify"
-	"eleos/internal/kv"
-	"eleos/internal/loadgen"
-	"eleos/internal/mckv"
-	"eleos/internal/pserver"
 	"eleos/internal/report"
 )
 
@@ -37,20 +32,16 @@ const consSvcEPC = 6 << 20
 // consSlackPages is the root tenant's reserve outside the carves.
 const consSlackPages = 16
 
-// consService is one tenant: a builder that loads the server on the
-// service's domain (setup, unmeasured) and returns the serving loop
-// plus a cleanup. Setup stays outside the measurement because enclave
+// consService is one tenant and its request count. Building and
+// loading it (setup) stays outside the measurement because enclave
 // creation leaves the paging driver's serialized-service horizon far
 // ahead of a fresh thread's clock, so the first hardware fault after
 // setup pays a queueing charge proportional to total enclave size —
 // a fixed deployment cost, not a per-request one (the table's last
 // column reports it separately).
 type consService struct {
-	name string
+	spec tenantSpec
 	ops  int
-	// build loads the server through ctx and returns the serving loop
-	// over ops requests.
-	build func(rt *eleos.Runtime, svc *eleos.Service, ctx *eleos.Ctx, ops int) (serve func() error, cleanup func(), err error)
 }
 
 func consServices(rc RunConfig) []consService {
@@ -63,97 +54,10 @@ func consServices(rc RunConfig) []consService {
 		faceOps = 100
 	}
 	return []consService{
-		{"mckv", kvOps, consRunMckv},
-		{"pserver", kvOps, consRunPserver},
-		{"faceverify", faceOps, consRunFace},
+		{tenantSpec{kind: tenantMckv, bytes: 8 << 20, items: 2000, value: 256}, kvOps},
+		{tenantSpec{kind: tenantPserver, bytes: 4 << 20}, kvOps},
+		{tenantSpec{kind: tenantFace, items: 48}, faceOps}, // 48 x 232 KiB descriptors ~ 11 MiB vs the 6 MiB carve
 	}
-}
-
-func consRunMckv(rt *eleos.Runtime, svc *eleos.Service, ctx *eleos.Ctx, ops int) (func() error, func(), error) {
-	store, err := mckv.NewStore(rt.Platform(), ctx.Thread(), mckv.Config{
-		MemLimitBytes: 8 << 20,
-		Placement:     mckv.PlaceSUVM,
-		Heap:          svc.Domain(),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := mckv.NewServerIOGroup(store, rt.IOEngine(), svc.IOGroup())
-
-	key := make([]byte, 20)
-	val := make([]byte, 256)
-	const items = 2000
-	for i := 0; i < items; i++ {
-		copy(key, fmt.Sprintf("key-%016d", i))
-		if err := store.Set(ctx.Thread(), key, val); err != nil {
-			srv.Close()
-			return nil, nil, err
-		}
-	}
-	serve := func() error {
-		gen := loadgen.NewKeyGen(4242, items)
-		for n := 0; n < ops; n++ {
-			copy(key, fmt.Sprintf("key-%016d", gen.Next()-1))
-			if n%5 == 4 {
-				if err := srv.ServeSet(ctx.Thread(), key, val); err != nil {
-					return err
-				}
-			} else if _, err := srv.ServeGet(ctx.Thread(), key); err != nil {
-				return err
-			}
-		}
-		return srv.Flush(ctx.Thread())
-	}
-	return serve, srv.Close, nil
-}
-
-func consRunPserver(rt *eleos.Runtime, svc *eleos.Service, ctx *eleos.Ctx, ops int) (func() error, func(), error) {
-	srv, err := pserver.New(rt.Platform(), ctx.Thread(), pserver.Config{
-		DataBytes: 4 << 20,
-		Layout:    kv.OpenAddressing,
-		Placement: pserver.PlaceSUVM,
-		Heap:      svc.Domain(),
-		Engine:    rt.IOEngine(),
-		Group:     svc.IOGroup(),
-		Encrypted: true,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	serve := func() error {
-		gen := loadgen.NewKeyGen(31337, srv.Entries())
-		keys := make([]uint64, 4)
-		for n := 0; n < ops; n++ {
-			if err := srv.ServeRequest(ctx.Thread(), gen.Batch(keys)); err != nil {
-				return err
-			}
-		}
-		return srv.Flush(ctx.Thread())
-	}
-	return serve, srv.Close, nil
-}
-
-func consRunFace(rt *eleos.Runtime, svc *eleos.Service, ctx *eleos.Ctx, ops int) (func() error, func(), error) {
-	store, err := faceverify.NewStore(rt.Platform(), ctx.Thread(), faceverify.Config{
-		Identities: 48, // 48 x 232 KiB descriptors ~ 11 MiB vs the 6 MiB carve
-		Placement:  faceverify.PlaceSUVM,
-		Heap:       svc.Domain(),
-		Synthetic:  true,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := faceverify.NewServerIOGroup(store, rt.IOEngine(), svc.IOGroup())
-	serve := func() error {
-		gen := loadgen.NewKeyGen(2718, 48)
-		for n := 0; n < ops; n++ {
-			if _, err := srv.Verify(ctx.Thread(), gen.Next()-1, uint64(n%4)); err != nil {
-				return err
-			}
-		}
-		return srv.Flush(ctx.Thread())
-	}
-	return serve, srv.Close, nil
 }
 
 // consOutcome is one service's measured run in one deployment.
@@ -166,21 +70,27 @@ type consOutcome struct {
 
 // consMeasure builds one tenant's server on its service (setup) and
 // then measures the serving loop: cycle, doorbell and major-fault
-// deltas bracket serve() only.
+// deltas bracket the serving loop only.
 func consMeasure(rt *eleos.Runtime, svc *eleos.Service, s consService) (consOutcome, error) {
 	ctx := svc.NewContext()
 	defer ctx.Close()
 	s0 := ctx.Cycles()
-	serve, cleanup, err := s.build(rt, svc, ctx, s.ops)
+	gen := s.spec.stream()
+	tn, err := newTenant(rt, ctx, s.spec, svc.Domain(), svc.IOGroup(), gen)
 	if err != nil {
-		return consOutcome{}, fmt.Errorf("%s: %w", s.name, err)
+		return consOutcome{}, fmt.Errorf("%s: %w", s.spec.name(), err)
 	}
-	defer cleanup()
+	defer tn.close()
 	c0 := ctx.Cycles()
 	d0 := svc.IOGroup().Stats().Doorbells
 	f0 := svc.Stats().Heap.MajorFaults
-	if err := serve(); err != nil {
-		return consOutcome{}, fmt.Errorf("%s: %w", s.name, err)
+	for n := 0; n < s.ops; n++ {
+		if err := tn.serve(gen.Next()); err != nil {
+			return consOutcome{}, fmt.Errorf("%s: %w", s.spec.name(), err)
+		}
+	}
+	if err := tn.flush(); err != nil {
+		return consOutcome{}, fmt.Errorf("%s: %w", s.spec.name(), err)
 	}
 	return consOutcome{
 		setup:     c0 - s0,
@@ -206,7 +116,7 @@ func consSeparate(rc RunConfig) (map[string]consOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc, err := encl.NewService(s.name, eleos.WithServiceEPC(consSvcEPC))
+		svc, err := encl.NewService(s.spec.name(), eleos.WithServiceEPC(consSvcEPC))
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +124,7 @@ func consSeparate(rc RunConfig) (map[string]consOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[s.name] = o
+		out[s.spec.name()] = o
 		encl.Destroy()
 	}
 	return out, nil
@@ -237,19 +147,19 @@ func consConsolidated(rc RunConfig) (map[string]consOutcome, error) {
 	defer encl.Destroy()
 	svcs := make(map[string]*eleos.Service)
 	for _, s := range consServices(rc) {
-		svc, err := encl.NewService(s.name, eleos.WithServiceEPC(consSvcEPC))
+		svc, err := encl.NewService(s.spec.name(), eleos.WithServiceEPC(consSvcEPC))
 		if err != nil {
 			return nil, err
 		}
-		svcs[s.name] = svc
+		svcs[s.spec.name()] = svc
 	}
 	out := make(map[string]consOutcome)
 	for _, s := range consServices(rc) {
-		o, err := consMeasure(rt, svcs[s.name], s)
+		o, err := consMeasure(rt, svcs[s.spec.name()], s)
 		if err != nil {
 			return nil, err
 		}
-		out[s.name] = o
+		out[s.spec.name()] = o
 	}
 	return out, nil
 }
@@ -330,8 +240,8 @@ func runConsolidation(rc RunConfig) (*Result, error) {
 	t.Note = fmt.Sprintf("per-service EPC++ carve %d MiB both ways; total enclave pages 3x(%d MiB + slack) vs 1x(%d MiB + slack); setup (store build + load) is the one-time deployment cost, paid per enclave in 3x1 and mostly by the first tenant in 1x3",
 		consSvcEPC>>20, consSvcEPC>>20, 3*consSvcEPC>>20)
 	for _, s := range consServices(rc) {
-		a, b := sep[s.name], con[s.name]
-		t.AddRow(s.name, s.ops,
+		a, b := sep[s.spec.name()], con[s.spec.name()]
+		t.AddRow(s.spec.name(), s.ops,
 			perOp(a.cycles, s.ops), perOp(b.cycles, s.ops),
 			float64(b.cycles)/float64(a.cycles),
 			perOp(a.doorbells, s.ops), perOp(b.doorbells, s.ops),

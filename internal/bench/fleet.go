@@ -4,11 +4,6 @@ import (
 	"fmt"
 
 	"eleos"
-	"eleos/internal/faceverify"
-	"eleos/internal/kv"
-	"eleos/internal/loadgen"
-	"eleos/internal/mckv"
-	"eleos/internal/pserver"
 	"eleos/internal/report"
 )
 
@@ -42,91 +37,13 @@ const (
 	fleetEpochCycles = 2_000_000
 )
 
-// fleetTenant is one enclave's server: build loads it (unmeasured) and
-// returns a single-request serving function plus a cleanup.
-type fleetTenant struct {
-	name  string
-	build func(rt *eleos.Runtime, ctx *eleos.Ctx) (request func() error, cleanup func(), err error)
-}
-
 // Working sets are sized to overflow the 6 MiB static EPC++ but fit the
 // 12 MiB adaptive capacity: the even split pages every tenant all the
 // time, the demand split serves the hot tenant from memory.
-func fleetTenants() []fleetTenant {
-	return []fleetTenant{
-		{"mckv", func(rt *eleos.Runtime, ctx *eleos.Ctx) (func() error, func(), error) {
-			store, err := mckv.NewStore(rt.Platform(), ctx.Thread(), mckv.Config{
-				MemLimitBytes: 12 << 20,
-				Placement:     mckv.PlaceSUVM,
-				Heap:          ctx.Enclave().Heap(),
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			srv := mckv.NewServerIO(store, rt.IOEngine())
-			key := make([]byte, 20)
-			val := make([]byte, 512)
-			const items = 16384 // ~10 MiB of entries
-			for i := 0; i < items; i++ {
-				copy(key, fmt.Sprintf("key-%016d", i))
-				if err := store.Set(ctx.Thread(), key, val); err != nil {
-					srv.Close()
-					return nil, nil, err
-				}
-			}
-			gen := loadgen.NewKeyGen(4242, items)
-			n := 0
-			request := func() error {
-				copy(key, fmt.Sprintf("key-%016d", gen.Next()-1))
-				n++
-				if n%5 == 0 {
-					return srv.ServeSet(ctx.Thread(), key, val)
-				}
-				_, err := srv.ServeGet(ctx.Thread(), key)
-				return err
-			}
-			return request, srv.Close, nil
-		}},
-		{"pserver", func(rt *eleos.Runtime, ctx *eleos.Ctx) (func() error, func(), error) {
-			srv, err := pserver.New(rt.Platform(), ctx.Thread(), pserver.Config{
-				DataBytes: 8 << 20,
-				Layout:    kv.OpenAddressing,
-				Placement: pserver.PlaceSUVM,
-				Heap:      ctx.Enclave().Heap(),
-				Engine:    rt.IOEngine(),
-				Encrypted: true,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			gen := loadgen.NewKeyGen(31337, srv.Entries())
-			keys := make([]uint64, 4)
-			request := func() error {
-				return srv.ServeRequest(ctx.Thread(), gen.Batch(keys))
-			}
-			return request, srv.Close, nil
-		}},
-		{"faceverify", func(rt *eleos.Runtime, ctx *eleos.Ctx) (func() error, func(), error) {
-			store, err := faceverify.NewStore(rt.Platform(), ctx.Thread(), faceverify.Config{
-				Identities: 40, // 40 x 232 KiB descriptors ~ 9 MiB
-				Placement:  faceverify.PlaceSUVM,
-				Heap:       ctx.Enclave().Heap(),
-				Synthetic:  true,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			srv := faceverify.NewServerIO(store, rt.IOEngine())
-			gen := loadgen.NewKeyGen(2718, 40)
-			n := 0
-			request := func() error {
-				n++
-				_, err := srv.Verify(ctx.Thread(), gen.Next()-1, uint64(n%4))
-				return err
-			}
-			return request, srv.Close, nil
-		}},
-	}
+var fleetTenants = []tenantSpec{
+	{kind: tenantMckv, bytes: 12 << 20, items: 16384, value: 512}, // ~10 MiB of entries
+	{kind: tenantPserver, bytes: 8 << 20},
+	{kind: tenantFace, items: 40}, // 40 x 232 KiB descriptors ~ 9 MiB
 }
 
 // fleetWeights[phase][tenant] is how many requests the tenant serves
@@ -166,17 +83,16 @@ func runFleetArm(rc RunConfig, adaptive bool) (fleetOutcome, error) {
 	}
 	defer rt.Close()
 
-	tenants := fleetTenants()
-	ctxs := make([]*eleos.Ctx, len(tenants))
-	reqs := make([]func() error, len(tenants))
-	for i, tn := range tenants {
+	ctxs := make([]*eleos.Ctx, len(fleetTenants))
+	reqs := make([]func() error, len(fleetTenants))
+	for i, spec := range fleetTenants {
 		epc := uint64(fleetEvenEPC)
 		if adaptive {
 			epc = fleetMaxEPC
 		}
 		encl, err := rt.NewEnclave(eleos.EnclaveConfig{PageCacheBytes: epc})
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", tn.name, err)
+			return out, fmt.Errorf("%s: %w", spec.name(), err)
 		}
 		defer encl.Destroy()
 		ctxs[i] = encl.NewContext()
@@ -185,15 +101,16 @@ func runFleetArm(rc RunConfig, adaptive bool) (fleetOutcome, error) {
 			// Both arms start at the even-split balloon size; only the
 			// controller's decisions differ.
 			if err := encl.Heap().ResizeTo(ctxs[i].Thread(), fleetEvenEPC); err != nil {
-				return out, fmt.Errorf("%s: presize: %w", tn.name, err)
+				return out, fmt.Errorf("%s: presize: %w", spec.name(), err)
 			}
 		}
-		req, cleanup, err := tn.build(rt, ctxs[i])
+		gen := spec.stream()
+		tn, err := newTenant(rt, ctxs[i], spec, encl.Heap(), nil, gen)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", tn.name, err)
+			return out, fmt.Errorf("%s: %w", spec.name(), err)
 		}
-		defer cleanup()
-		reqs[i] = req
+		defer tn.close()
+		reqs[i] = func() error { return tn.serve(gen.Next()) }
 	}
 
 	// Warm-up boundary: setup (enclave creation pins whole frame pools,
@@ -204,13 +121,8 @@ func runFleetArm(rc RunConfig, adaptive bool) (fleetOutcome, error) {
 	// compare serving work, not leftover clock skew between the arms'
 	// different setup costs.
 	for _, ctx := range ctxs {
-		ctx.Thread().T.Reset()
-		ctx.Thread().TLB.ResetStats()
-		ctx.Thread().ResetEnclaveCycles()
-		ctx.Enclave().Heap().ResetStats()
+		resetCounters(rt.Platform(), ctx.Thread(), ctx.Enclave().Heap())
 	}
-	rt.Platform().LLC.ResetStats()
-	rt.Platform().Driver.ResetStats()
 
 	rounds := rc.Ops / 100
 	if rounds < 60 {
@@ -227,7 +139,7 @@ func runFleetArm(rc RunConfig, adaptive bool) (fleetOutcome, error) {
 			for i, req := range reqs {
 				for k := 0; k < fleetWeights[phase][i]; k++ {
 					if err := req(); err != nil {
-						return out, fmt.Errorf("%s phase %d: %w", tenants[i].name, phase, err)
+						return out, fmt.Errorf("%s phase %d: %w", fleetTenants[i].name(), phase, err)
 					}
 					ops++
 				}
@@ -256,7 +168,6 @@ func runFleet(rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 
-	hot := []string{"mckv", "pserver", "faceverify"}
 	t := report.New("Phase-shifted tenants: static even split vs adaptive fleet shares (3 enclaves, 24 MiB PRM)",
 		"phase (hot tenant)", "requests", "static cyc/req", "adaptive cyc/req", "speedup",
 		"static faults", "adaptive faults")
@@ -264,7 +175,7 @@ func runFleet(rc RunConfig) (*Result, error) {
 	var sTot, aTot fleetPhase
 	for phase := range static.phases {
 		s, a := static.phases[phase], adaptive.phases[phase]
-		t.AddRow(hot[phase], s.ops,
+		t.AddRow(fleetTenants[phase].name(), s.ops,
 			perOp(s.cycles, s.ops), perOp(a.cycles, a.ops),
 			float64(s.cycles)/float64(a.cycles),
 			s.faults, a.faults)

@@ -37,19 +37,19 @@ func runIOEngine(rc RunConfig) (*Result, error) {
 	ops := rc.Ops
 
 	t := report.New("GET loop throughput by submission shape (2 RPC workers, single serving thread)",
-		"value B", "sync Kops/s", "async Kops/s", "async/sync", "sync db/req", "async db/req", "sync allocs/op", "async allocs/op")
-	t.Note = "db/req = trust-boundary doorbells per request; async links SEND(i)+RECV(i+1) into one chain across two streams; allocs/op = Go-heap allocations per request (host-side, not cycle-charged)"
+		"value B", "sync Kops/s", "async Kops/s", "async/sync", "sync db/req", "async db/req")
+	t.Note = "db/req = trust-boundary doorbells per request; async links SEND(i)+RECV(i+1) into one chain across two streams"
 
 	for _, vlen := range []int{1024, 4096} {
-		syncTput, syncDB, syncAllocs, err := ioSyncRun(ops, vlen)
+		syncTput, syncDB, err := ioSyncRun(ops, vlen)
 		if err != nil {
 			return nil, err
 		}
-		asyncTput, asyncDB, asyncAllocs, err := ioAsyncRun(ops, vlen)
+		asyncTput, asyncDB, err := ioAsyncRun(ops, vlen)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(vlen, syncTput/1e3, asyncTput/1e3, asyncTput/syncTput, syncDB, asyncDB, syncAllocs, asyncAllocs)
+		t.AddRow(vlen, syncTput/1e3, asyncTput/1e3, asyncTput/syncTput, syncDB, asyncDB)
 	}
 
 	return &Result{
@@ -59,12 +59,12 @@ func runIOEngine(rc RunConfig) (*Result, error) {
 	}, nil
 }
 
-func ioSyncRun(ops, vlen int) (tput, doorbellsPerReq, allocs float64, err error) {
+func ioSyncRun(ops, vlen int) (tput, doorbellsPerReq float64, err error) {
 	v := enclaveEnv(0).withPool(2)
 	defer v.close()
 	eng, err := exitio.NewEngine(exitio.ModeRPCSync, v.pool)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	sock := netsim.NewSocket(v.plat, 1<<20)
 	defer sock.Close()
@@ -95,30 +95,28 @@ func ioSyncRun(ops, vlen int) (tput, doorbellsPerReq, allocs float64, err error)
 
 	for i := 0; i < 64; i++ { // warm-up
 		if err := serve(); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
-	v.resetCounters()
+	resetCounters(v.plat, v.th, v.heap)
 	st0 := eng.Stats()
-	m0 := allocsStart()
 	for i := 0; i < ops; i++ {
 		if err := serve(); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
 	st1 := eng.Stats()
 	tput = float64(ops) / v.plat.Model.Seconds(v.th.T.Cycles())
 	doorbellsPerReq = float64(st1.Doorbells-st0.Doorbells) / float64(ops)
-	allocs = allocsPerOp(m0, ops)
-	return tput, doorbellsPerReq, allocs, nil
+	return tput, doorbellsPerReq, nil
 }
 
-func ioAsyncRun(ops, vlen int) (tput, doorbellsPerReq, allocs float64, err error) {
+func ioAsyncRun(ops, vlen int) (tput, doorbellsPerReq float64, err error) {
 	v := enclaveEnv(0).withPool(2)
 	defer v.close()
 	eng, err := exitio.NewEngine(exitio.ModeRPCAsync, v.pool)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	type stream struct {
 		sock *netsim.Socket
@@ -184,33 +182,31 @@ func ioAsyncRun(ops, vlen int) (tput, doorbellsPerReq, allocs float64, err error
 	}
 
 	if err := prime(); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	for i := 0; i < 64; i++ { // warm-up
 		if err := serve(&streams[i%2], i >= 62); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
 	if err := drain(); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	v.resetCounters()
+	resetCounters(v.plat, v.th, v.heap)
 	st0 := eng.Stats()
-	m0 := allocsStart()
 	if err := prime(); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	for i := 0; i < ops; i++ {
 		if err := serve(&streams[i%2], i >= ops-2); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
 	if err := drain(); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	st1 := eng.Stats()
 	tput = float64(ops) / v.plat.Model.Seconds(v.th.T.Cycles())
 	doorbellsPerReq = float64(st1.Doorbells-st0.Doorbells) / float64(ops)
-	allocs = allocsPerOp(m0, ops)
-	return tput, doorbellsPerReq, allocs, nil
+	return tput, doorbellsPerReq, nil
 }

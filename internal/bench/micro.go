@@ -48,7 +48,7 @@ func runPServer(v *env, mode exitio.Mode, cfg pserver.Config, ops, nkeys int, ho
 			panic(err)
 		}
 	}
-	v.resetCounters()
+	resetCounters(v.plat, v.th, v.heap)
 	for i := 0; i < ops; i++ {
 		if err := srv.ServeRequest(v.th, gen.Batch(keys)); err != nil {
 			panic(err)

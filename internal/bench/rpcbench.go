@@ -72,7 +72,7 @@ func rpcEnv(workers int) *env {
 			panic(err)
 		}
 	}
-	v.resetCounters()
+	resetCounters(v.plat, v.th, v.heap)
 	return v
 }
 

@@ -44,7 +44,7 @@ func sgxPagingRun(v *env, bufSize uint64, ops, threads int, write bool) uint64 {
 			v.th.Read(base+off, buf)
 		}
 	}
-	v.resetCounters()
+	resetCounters(v.plat, v.th, v.heap)
 
 	ths := []*sgx.Thread{v.th}
 	for i := 1; i < threads; i++ {
@@ -107,7 +107,7 @@ func suvmPagingRun(v *env, bufSize uint64, ops, threads int, write bool) uint64 
 			_ = p.ReadAt(v.th, 0, buf)
 		}
 	}
-	v.resetCounters()
+	resetCounters(v.plat, v.th, v.heap)
 
 	ths := []*sgx.Thread{v.th}
 	for i := 1; i < threads; i++ {

@@ -50,7 +50,7 @@ func suvmMT(rc RunConfig) (*Result, error) {
 					return nil, err
 				}
 			}
-			v.resetCounters()
+			resetCounters(v.plat, v.th, v.heap)
 
 			ths := []*sgx.Thread{v.th}
 			for i := 1; i < threads; i++ {

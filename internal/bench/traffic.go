@@ -5,12 +5,8 @@ import (
 	"math"
 
 	"eleos"
-	"eleos/internal/faceverify"
 	"eleos/internal/hist"
-	"eleos/internal/kv"
 	"eleos/internal/loadgen"
-	"eleos/internal/mckv"
-	"eleos/internal/pserver"
 	"eleos/internal/report"
 	"eleos/internal/traffic"
 )
@@ -53,96 +49,18 @@ const (
 	trafficWorkloads = 3 // poisson, burst, diurnal
 )
 
-// trafficServer is one server behind its exit-less I/O daemon path:
-// build loads it (unmeasured) and returns a per-request serving
-// function keyed by the fleet's key draws, plus the key space the
-// fleet should draw from and whether to apply hot-key skew.
+// trafficServer is one tenant behind its exit-less I/O daemon path,
+// the key space the fleet draws from and whether to apply hot-key skew.
 type trafficServer struct {
-	name     string
+	spec     tenantSpec
 	keySpace uint64
 	zipf     float64 // 0 = uniform
-	build    func(rt *eleos.Runtime, ctx *eleos.Ctx) (serve func(req traffic.Request) error, cleanup func(), err error)
 }
 
-func trafficServers() []trafficServer {
-	return []trafficServer{
-		{name: "mckv", keySpace: 8192, zipf: 1.2, build: func(rt *eleos.Runtime, ctx *eleos.Ctx) (func(traffic.Request) error, func(), error) {
-			store, err := mckv.NewStore(rt.Platform(), ctx.Thread(), mckv.Config{
-				MemLimitBytes: 8 << 20,
-				Placement:     mckv.PlaceSUVM,
-				Heap:          ctx.Enclave().Heap(),
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			srv := mckv.NewServerIO(store, rt.IOEngine())
-			key := make([]byte, 20)
-			val := make([]byte, 256)
-			for i := uint64(0); i < 8192; i++ {
-				copy(key, fmt.Sprintf("key-%016d", i))
-				if err := store.Set(ctx.Thread(), key, val); err != nil {
-					srv.Close()
-					return nil, nil, err
-				}
-			}
-			n := 0
-			serve := func(req traffic.Request) error {
-				copy(key, fmt.Sprintf("key-%016d", req.Key-1))
-				n++
-				if n%5 == 0 {
-					return srv.ServeSet(ctx.Thread(), key, val)
-				}
-				_, err := srv.ServeGet(ctx.Thread(), key)
-				return err
-			}
-			return serve, srv.Close, nil
-		}},
-		{name: "pserver", keySpace: 0 /* set below from Entries */, build: func(rt *eleos.Runtime, ctx *eleos.Ctx) (func(traffic.Request) error, func(), error) {
-			srv, err := pserver.New(rt.Platform(), ctx.Thread(), pserver.Config{
-				DataBytes: 4 << 20,
-				Layout:    kv.OpenAddressing,
-				Placement: pserver.PlaceSUVM,
-				Heap:      ctx.Enclave().Heap(),
-				Engine:    rt.IOEngine(),
-				Encrypted: true,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			// The fleet draws the batch's lead key; the rest of the
-			// 4-key batch comes from a dedicated seeded generator.
-			rest := loadgen.NewKeyGen(777, srv.Entries())
-			keys := make([]uint64, 4)
-			entries := srv.Entries()
-			serve := func(req traffic.Request) error {
-				keys[0] = (req.Key-1)%entries + 1
-				for i := 1; i < len(keys); i++ {
-					keys[i] = rest.Next()
-				}
-				return srv.ServeRequest(ctx.Thread(), keys)
-			}
-			return serve, srv.Close, nil
-		}},
-		{name: "faceverify", keySpace: 24, build: func(rt *eleos.Runtime, ctx *eleos.Ctx) (func(traffic.Request) error, func(), error) {
-			store, err := faceverify.NewStore(rt.Platform(), ctx.Thread(), faceverify.Config{
-				Identities: 24,
-				Placement:  faceverify.PlaceSUVM,
-				Heap:       ctx.Enclave().Heap(),
-				Synthetic:  true,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			srv := faceverify.NewServerIO(store, rt.IOEngine())
-			n := 0
-			serve := func(req traffic.Request) error {
-				n++
-				_, err := srv.Verify(ctx.Thread(), req.Key-1, uint64(n%4))
-				return err
-			}
-			return serve, srv.Close, nil
-		}},
-	}
+var trafficServers = []trafficServer{
+	{spec: tenantSpec{kind: tenantMckv, bytes: 8 << 20, items: 8192, value: 256}, keySpace: 8192, zipf: 1.2},
+	{spec: tenantSpec{kind: tenantPserver, bytes: 4 << 20}, keySpace: 1024},
+	{spec: tenantSpec{kind: tenantFace, items: 24}, keySpace: 24},
 }
 
 // trafficProcess builds the run's arrival process from the server's
@@ -229,7 +147,8 @@ func runTraffic(rc RunConfig) (*Result, error) {
 	fleetT.Note = fmt.Sprintf("%d connections per fleet, ~%.0f%% owned by slow clients stalling svc/%d cycles per read; conn lifetimes seeded-exponential so fleets churn",
 		trafficClients, trafficSlowFrac*100, trafficStallDiv)
 
-	for si, srv := range trafficServers() {
+	for si, srv := range trafficServers {
+		name := srv.spec.name()
 		rt, err := eleos.NewRuntime(eleos.WithRPCWorkers(1))
 		if err != nil {
 			return nil, err
@@ -237,24 +156,26 @@ func runTraffic(rc RunConfig) (*Result, error) {
 		encl, err := rt.NewEnclave(eleos.EnclaveConfig{PageCacheBytes: 16 << 20})
 		if err != nil {
 			rt.Close()
-			return nil, fmt.Errorf("%s: %w", srv.name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		ctx := encl.NewContext()
-		serve, cleanup, err := srv.build(rt, ctx)
+		// The fleet draws each pserver batch's lead key; a dedicated
+		// seeded generator draws the rest.
+		tn, err := newTenant(rt, ctx, srv.spec, encl.Heap(), nil, loadgen.NewKeyGen(777, srv.spec.keys()))
 		if err != nil {
 			ctx.Close()
 			encl.Destroy()
 			rt.Close()
-			return nil, fmt.Errorf("%s: %w", srv.name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 
-		cells, err := runTrafficServer(rc, n, si, srv, rt, ctx, serve)
-		cleanup()
+		cells, err := runTrafficServer(rc, n, si, srv, rt, ctx, tn)
+		tn.close()
 		ctx.Close()
 		encl.Destroy()
 		rt.Close()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", srv.name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 
 		model := rt.Platform().Model
@@ -266,12 +187,12 @@ func runTraffic(rc RunConfig) (*Result, error) {
 				if c.phaseGaps[ph] > 0 {
 					offered = float64(c.phaseReqs[ph]) / model.Seconds(c.phaseGaps[ph]) / 1e3
 				}
-				latT.AddRow(append([]any{srv.name, c.process, c.phases[ph], c.phaseReqs[ph], offered},
+				latT.AddRow(append([]any{name, c.process, c.phases[ph], c.phaseReqs[ph], offered},
 					append(report.PercentileCells(s.P50, s.P90, s.P99, s.P999, s.Max),
 						fmt.Sprintf("%.0f", p99sd))...)...)
 			}
 			kmean, ksd := meanSD(c.kops)
-			fleetT.AddRow(srv.name, c.process, len(c.kops),
+			fleetT.AddRow(name, c.process, len(c.kops),
 				kmean, fmt.Sprintf("%.2f", ksd),
 				c.svc,
 				100*float64(c.idle)/float64(c.elapsed),
@@ -290,19 +211,15 @@ func runTraffic(rc RunConfig) (*Result, error) {
 // runTrafficServer calibrates one server's service cost, then replays
 // every (process, run) cell against it.
 func runTrafficServer(rc RunConfig, n, si int, srv trafficServer,
-	rt *eleos.Runtime, ctx *eleos.Ctx, serve func(traffic.Request) error) ([]*trafficCell, error) {
+	rt *eleos.Runtime, ctx *eleos.Ctx, tn *tenant) ([]*trafficCell, error) {
 
 	// Closed-loop warm-up doubles as calibration: the mean service cost
 	// anchors every arrival rate, so utilization targets hold across
 	// cost-model changes.
-	space := srv.keySpace
-	if space == 0 {
-		space = 1024
-	}
-	warmGen := loadgen.NewKeyGen(511+int64(si), space)
+	warmGen := loadgen.NewKeyGen(511+int64(si), srv.keySpace)
 	c0 := ctx.Cycles()
 	for i := 0; i < trafficWarmup; i++ {
-		if err := serve(traffic.Request{Key: warmGen.Next()}); err != nil {
+		if err := tn.serve(warmGen.Next()); err != nil {
 			return nil, fmt.Errorf("warmup: %w", err)
 		}
 	}
@@ -330,7 +247,7 @@ func runTrafficServer(rc RunConfig, n, si int, srv trafficServer,
 					cell.perPhase[i] = hist.New()
 				}
 			}
-			keys := loadgen.NewKeyGen(seed^0x5eed, space)
+			keys := loadgen.NewKeyGen(seed^0x5eed, srv.keySpace)
 			if srv.zipf > 0 {
 				keys.Zipfian(srv.zipf)
 			}
@@ -354,7 +271,7 @@ func runTrafficServer(rc RunConfig, n, si int, srv trafficServer,
 					runHists[req.Phase].Record(lat)
 					cell.phaseGaps[req.Phase] += req.Arrival - prevArrival
 					prevArrival = req.Arrival
-				}, serve)
+				}, func(req traffic.Request) error { return tn.serve(req.Key) })
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", proc.Name(), run, err)
 			}
