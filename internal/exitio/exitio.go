@@ -64,11 +64,12 @@ func (m Mode) String() string {
 		return "native"
 	case ModeOCall:
 		return "ocall"
+	case ModeRPCSync:
+		return "rpc"
 	case ModeRPCAsync:
 		return "rpc-async"
-	default:
-		return "rpc"
 	}
+	return fmt.Sprintf("mode(%d)", int(m))
 }
 
 // ParseMode maps the CLI spellings onto dispatch modes.
@@ -192,15 +193,8 @@ func (e *Engine) Pool() *rpc.Pool { return e.pool }
 
 // NewQueue creates a submission/completion queue in the engine's
 // default dispatch mode. A Queue is owned by one serving thread: stage,
-// submit and reap from that thread only (completion callbacks from the
-// workers synchronize through the queue's wake channel).
-func (e *Engine) NewQueue() *Queue {
-	q := &Queue{eng: e, mode: e.mode, wake: make(chan struct{}, 1)}
-	// The method value is bound once here: taking q.notifyOne per
-	// submission would allocate a closure on the hot path.
-	q.notify = q.notifyOne
-	return q
-}
+// submit and reap from that thread only.
+func (e *Engine) NewQueue() *Queue { return &Queue{eng: e, mode: e.mode} }
 
 // Group is one tenant's slice of engine activity: queues opened through
 // NewGroupQueue mirror their counter updates into the group, so N

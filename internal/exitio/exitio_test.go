@@ -56,6 +56,19 @@ func TestModeStringParse(t *testing.T) {
 	if _, err := exitio.ParseMode("telepathy"); err == nil {
 		t.Fatal("ParseMode accepted an unknown mode")
 	}
+	// An unknown mode prints as itself, never as a spelling ParseMode
+	// reads back as a real mode.
+	for _, tc := range []struct {
+		m    exitio.Mode
+		want string
+	}{{-1, "mode(-1)"}, {4, "mode(4)"}} {
+		if got := tc.m.String(); got != tc.want {
+			t.Fatalf("Mode(%d).String() = %q, want %q", int(tc.m), got, tc.want)
+		}
+		if got, err := exitio.ParseMode(tc.m.String()); err == nil {
+			t.Fatalf("ParseMode(%q) = %v, want an error", tc.m.String(), got)
+		}
+	}
 }
 
 func TestEngineRequiresPool(t *testing.T) {

@@ -43,7 +43,7 @@ type result struct {
 // results, and the future publishing them. res is written by the worker
 // before the future's done flag and read by the owner only after
 // observing it. Chains are recycled through the engine's chainPool: the
-// future is embedded (filled in place via CallAsyncNotifyInto), ops and
+// future is embedded (filled in place via CallAsyncInto), ops and
 // res keep their capacity across reuses, and exec is the dispatch
 // closure built once per chain object.
 type chain struct {
@@ -56,10 +56,12 @@ type chain struct {
 // Queue is a per-thread submission/completion queue. The owning thread
 // stages ops (Push/PushLinked), rings the doorbell (Submit), and reaps
 // typed completions (Reap/WaitN/SubmitAndWait); completions always
-// surface in submission order. The only cross-thread touch point is
-// the wake channel the workers' completion callbacks poke, so a reap
-// can block instead of spinning per future — a Queue therefore needs
-// no mutex, and must not be shared between serving threads.
+// surface in submission order. A reap that must wait settles the oldest
+// chain through its future's Wait, the one way an enclave thread waits
+// for an exit-less completion: run the chain on its idle worker's
+// thread, else yield and check again. The only cross-thread touch
+// points are the chains' futures, so a Queue needs no mutex, and must
+// not be shared between serving threads.
 type Queue struct {
 	eng *Engine
 	// grp, when non-nil, receives a mirror of every counter update the
@@ -84,15 +86,6 @@ type Queue struct {
 	// slice a reap returns is therefore only valid until the next
 	// Reap/WaitN/SubmitAndWait call on the queue.
 	spare []CQE
-	// notify is the bound q.notifyOne method value, created once at
-	// NewQueue so submissions don't allocate a closure per chain.
-	notify func()
-	// wake carries lossy completion tokens from notifyOne: capacity 1,
-	// non-blocking sends. Safe because the queue has a single reaper,
-	// which re-checks the head future after every token — a dropped
-	// token implies a token is already buffered. SetMode drains stale
-	// tokens so they never cross a mode epoch.
-	wake chan struct{}
 }
 
 // Engine returns the owning engine.
@@ -106,12 +99,9 @@ func (q *Queue) Mode() Mode { return q.mode }
 // old mode first (its completions join the ready list in submission
 // order, with the usual residual-latency accounting on th), and ops
 // staged but not yet submitted cross the boundary whole under the new
-// mode at their Submit. Stale wake tokens from the old mode's reaps are
-// drained before the switch — with no chain pending none can arrive
-// concurrently — so a token buffered by an already-collected completion
-// can never leak into a later async epoch and spuriously wake its
-// reaper. Returns an error (leaving the mode unchanged) if the new mode
-// is unknown or needs an rpc pool the engine was built without.
+// mode at their Submit. Returns an error (leaving the mode unchanged)
+// if the new mode is unknown or needs an rpc pool the engine was built
+// without.
 func (q *Queue) SetMode(th *sgx.Thread, m Mode) error {
 	if m == q.mode {
 		return nil
@@ -120,14 +110,7 @@ func (q *Queue) SetMode(th *sgx.Thread, m Mode) error {
 		return err
 	}
 	for q.pendLen() > 0 {
-		q.waitHead(th)
-	}
-	for drained := false; !drained; {
-		select {
-		case <-q.wake:
-		default:
-			drained = true
-		}
+		q.retireHead(th)
 	}
 	q.mode = m
 	q.eng.modeSwitches.Add(1)
@@ -260,7 +243,7 @@ func (q *Queue) Submit(th *sgx.Thread) error {
 			}
 			q.complete(c)
 		case ModeRPCAsync:
-			if err := q.eng.pool.CallAsyncNotifyInto(&c.fut, th, c.exec, q.notify); err != nil {
+			if err := q.eng.pool.CallAsyncInto(&c.fut, th, c.exec); err != nil {
 				q.eng.putChain(c)
 				//eleos:allow hotpath -- cold error path: the pool refused the chain
 				return fmt.Errorf("exitio: submit: %w", err)
@@ -270,17 +253,6 @@ func (q *Queue) Submit(th *sgx.Thread) error {
 		}
 	}
 	return nil
-}
-
-// notifyOne runs on an untrusted worker right after a chain's future
-// is published: a lossy, non-blocking wake token for the reaper.
-//
-//eleos:hotpath budget=0
-func (q *Queue) notifyOne() {
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
 }
 
 // complete moves a finished chain's results onto the completion list
@@ -305,9 +277,10 @@ func (q *Queue) complete(c *chain) {
 //eleos:hotpath budget=0
 func (q *Queue) pendLen() int { return len(q.pending) - q.pendHead }
 
-// retireHead settles the oldest pending chain: Wait charges the
-// residual latency the owner's compute did not hide (plus the
-// completion poll), and the chain's CQEs become reapable.
+// retireHead settles the oldest pending chain, waiting for it if it is
+// still in flight: Wait charges the residual latency the owner's
+// compute did not hide (plus the completion poll), and the chain's
+// CQEs become reapable.
 //
 //eleos:hotpath budget=0
 func (q *Queue) retireHead(th *sgx.Thread) {
@@ -340,23 +313,6 @@ func (q *Queue) collect(th *sgx.Thread) {
 	}
 }
 
-// waitHead waits — without spinning — until the oldest pending chain
-// completes, then retires it. If the chain is still queued and its
-// worker idle, the owner runs it itself (Future.Help); otherwise it
-// blocks for a wake token. The tokens are lossy, so the head future is
-// re-checked after every token; the completion callback publishes the
-// done flag before poking the channel, so a blocked reaper is always
-// woken.
-//
-//eleos:hotpath budget=0
-func (q *Queue) waitHead(th *sgx.Thread) {
-	c := q.pending[q.pendHead]
-	for !c.fut.Help() {
-		<-q.wake
-	}
-	q.retireHead(th)
-}
-
 // take hands the accumulated completions to the caller and swaps in
 // the spare buffer, so the next completions reuse retained capacity
 // instead of allocating a fresh list per reap cycle. The returned
@@ -387,7 +343,7 @@ func (q *Queue) Reap(th *sgx.Thread) []CQE {
 func (q *Queue) WaitN(th *sgx.Thread, n int) []CQE {
 	q.collect(th)
 	for len(q.ready) < n && q.pendLen() > 0 {
-		q.waitHead(th)
+		q.retireHead(th)
 		q.collect(th)
 	}
 	return q.take()
@@ -403,7 +359,7 @@ func (q *Queue) SubmitAndWait(th *sgx.Thread) ([]CQE, error) {
 		return nil, err
 	}
 	for q.pendLen() > 0 {
-		q.waitHead(th)
+		q.retireHead(th)
 	}
 	return q.take(), nil
 }

@@ -15,8 +15,9 @@ import (
 // Four enclave threads drive one shared engine concurrently — each with
 // its own queue, socket and file — mixing linked socket chains with
 // async file writes. Run under -race (make check), this is the
-// tripwire for submission/completion races: the lossy wake channel,
-// the notify-before-recycle ordering in rpc, and the engine's shared
+// tripwire for submission/completion races: a reaper settling a chain
+// through Future.Wait while a worker or a helping reaper runs it, chain
+// and request recycling after the done flag, and the engine's shared
 // counters.
 func TestStressSharedEngine(t *testing.T) {
 	const (

@@ -28,22 +28,11 @@ func (f *Future) Done() bool {
 	return f.waited || f.req.done.Load() != 0
 }
 
-// Help runs the call on its worker's thread if it is still queued and
-// no one else is executing on that worker, so the waiter supplies the
-// host CPU instead of handing off to the worker goroutine (see
-// Pool.help). It charges the caller nothing — Wait still settles the
-// accounting — and reports whether the call is done. A false return
-// means someone else is running the call or the work ahead of it.
-//
-//eleos:hotpath budget=0
-func (f *Future) Help() bool {
-	return f.waited || f.pool.help(f.req)
-}
-
-// Wait blocks until the call completes and settles the caller's
-// accounting: cycles the caller burned since submission overlap with
-// the worker's execution for free, and only the residual — if any — is
-// charged, as stall time outside the enclave, plus the completion poll.
+// Wait polls until the call completes, running it itself when its
+// worker is idle (Pool.await), and settles the caller's accounting:
+// cycles the caller burned since submission overlap with the worker's
+// execution for free, and only the residual — if any — is charged, as
+// stall time outside the enclave, plus the completion poll.
 //
 //eleos:hotpath budget=0
 func (f *Future) Wait(caller *sgx.Thread) {
@@ -51,9 +40,7 @@ func (f *Future) Wait(caller *sgx.Thread) {
 		return
 	}
 	req := f.req
-	for !f.pool.help(req) {
-		spinWait()
-	}
+	f.pool.await(req)
 	residual := caller.ChargeResidual(req.submitStamp, req.workCycles)
 	caller.ChargeOutside(caller.Platform().Model.RPCPoll)
 	f.pool.waitCycles.Add(residual)

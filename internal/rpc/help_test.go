@@ -67,8 +67,8 @@ func TestHelpRunsQueueUpToOwnRequest(t *testing.T) {
 		}
 		futs[i] = f
 	}
-	if !futs[1].Help() {
-		t.Fatal("Help on an idle worker left the call undone")
+	if !pool.help(futs[1].req) {
+		t.Fatal("help on an idle worker left the call undone")
 	}
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("helper ran %v, want [0 1]", order)

@@ -33,11 +33,6 @@ type request struct {
 	// read by the submitter only, for help.
 	w      *worker
 	ticket uint64
-	// notify, when set, runs on the worker thread right after done is
-	// published (CallAsyncNotifyInto). The worker captures it before the
-	// done store: once done is visible the submitter may Wait and
-	// recycle the request under the callback's feet.
-	notify func()
 }
 
 // Stats counts pool activity.
@@ -336,7 +331,6 @@ func (p *Pool) getReq(fn func(*sgx.HostCtx), stamp uint64) *request {
 //eleos:hotpath budget=0
 func (p *Pool) putReq(req *request) {
 	req.fn = nil
-	req.notify = nil
 	p.reqPool.Put(req)
 }
 
@@ -346,7 +340,7 @@ func (p *Pool) putReq(req *request) {
 // publishes in one inflight window, which also holds the worker-set
 // snapshot, so a concurrent Stop or shrink waits for it before
 // retiring the workers it routed to. Wake-on-enqueue is lost-wakeup
-// free: a request is in its ring before notify reads the owner's
+// free: a request is in its ring before wakeIfAsleep reads the owner's
 // sleeping flag, and a worker raises that flag before its sleep rung
 // re-checks its own ring.
 //
@@ -364,7 +358,7 @@ func (p *Pool) submit(caller *sgx.Thread, reqs []*request) (int, error) {
 		p.bumpPeak(p.depth.Add(1))
 		req.w = w
 		req.ticket = w.ring.enqueue(req)
-		notify(w)
+		wakeIfAsleep(w)
 		if s++; s == len(ws) {
 			s = 0
 		}
@@ -392,10 +386,10 @@ func (p *Pool) bumpPeak(d int64) {
 	}
 }
 
-// notify wakes w if it sleeps: its ring just received a request.
+// wakeIfAsleep wakes w if it sleeps: its ring just received a request.
 //
 //eleos:hotpath budget=0
-func notify(w *worker) {
+func wakeIfAsleep(w *worker) {
 	if !w.sleeping.Load() {
 		return
 	}
@@ -499,11 +493,7 @@ func (p *Pool) runThrough(w *worker, last uint64) uint64 {
 		req.fn(ctx)
 		req.workCycles = w.th.T.Cycles() - start
 		p.workerOps.Add(1)
-		notify := req.notify
 		req.done.Store(1)
-		if notify != nil {
-			notify()
-		}
 		n++
 	}
 }
@@ -578,36 +568,27 @@ func (p *Pool) Call(caller *sgx.Thread, fn func(*sgx.HostCtx)) error {
 //eleos:hotpath budget=1
 func (p *Pool) CallAsync(caller *sgx.Thread, fn func(*sgx.HostCtx)) (*Future, error) {
 	fut := &Future{}
-	if err := p.CallAsyncNotifyInto(fut, caller, fn, nil); err != nil {
+	if err := p.CallAsyncInto(fut, caller, fn); err != nil {
 		return nil, err
 	}
 	return fut, nil
 }
 
-// CallAsyncNotifyInto is CallAsync publishing into a caller-provided
-// Future instead of allocating one, so completion handles can live
-// inside pooled or recycled structures (exitio embeds one per pooled
-// chain), with a completion hook: notify (if non-nil) runs on the
-// worker thread immediately after the request's completion flag is
-// published, so a reaper can block on a channel instead of spinning per
-// future. notify executes on the untrusted worker, under its run lock
-// and possibly on a helping submitter's goroutine — it must be cheap,
-// non-blocking (a counter bump, a non-blocking channel send) and must
-// not touch enclave state. It is a host-side signal only: accounting
-// still settles at Future.Wait. *fut is overwritten unconditionally; it
-// must not be an un-waited live future. The usual Future contract
-// applies: it belongs to caller, and Wait must come from that same
-// thread.
+// CallAsyncInto is CallAsync publishing into a caller-provided Future
+// instead of allocating one, so completion handles can live inside
+// pooled or recycled structures (exitio embeds one per pooled chain).
+// *fut is overwritten unconditionally; it must not be an un-waited live
+// future. The usual Future contract applies: it belongs to caller, and
+// Wait must come from that same thread.
 //
 //eleos:hotpath budget=0
-func (p *Pool) CallAsyncNotifyInto(fut *Future, caller *sgx.Thread, fn func(*sgx.HostCtx), notify func()) error {
+func (p *Pool) CallAsyncInto(fut *Future, caller *sgx.Thread, fn func(*sgx.HostCtx)) error {
 	if p.state.Load() != poolRunning {
 		return ErrStopped
 	}
 	m := caller.Platform().Model
 	caller.T.Charge(m.RPCEnqueue)
 	req := p.getReq(fn, caller.T.Cycles())
-	req.notify = notify
 	one := [...]*request{req}
 	if _, err := p.submit(caller, one[:]); err != nil {
 		p.putReq(req)

@@ -21,15 +21,19 @@
 // did not hide, and CallBatch, which publishes N descriptors under a
 // single amortized charge.
 //
-// Waiting submitters help: a caller about to wait for a request no one
-// has started runs it itself, on the thread of the worker whose ring
-// holds it, together with the requests queued ahead of it on that ring
-// (never those behind). Each worker's run lock makes whoever executes
-// on its thread exclusive, so the ring order, the worker's clock, TLB
-// and cache class, and every charge are exactly what the worker would
-// have produced: virtual time is unchanged and only the host goroutine
-// supplying the CPU differs. The handoff to the worker goroutine is
-// pure simulator cost; the paper's completion poll is still charged.
+// Every wait for a completion is one loop (Pool.await), whether it is
+// a synchronous Call, a Future.Wait or a CallBatch collection: help,
+// then yield the host CPU and check again. Waiting submitters help: a
+// caller about to wait for a request no one has started runs it
+// itself, on the thread of the worker whose ring holds it, together
+// with the requests queued ahead of it on that ring (never those
+// behind). Each worker's run lock makes whoever executes on its
+// thread exclusive, so the ring order, the worker's clock, TLB and
+// cache class, and every charge are exactly what the worker would
+// have produced: virtual time is unchanged and only the host
+// goroutine supplying the CPU differs. The handoff to the worker
+// goroutine is pure simulator cost; the paper's completion poll is
+// still charged.
 //
 // Trust domain: rpc is the boundary object itself. The submission
 // surface (Call, CallAsync, CallBatch) runs on enclave threads; the
