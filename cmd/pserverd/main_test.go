@@ -41,3 +41,26 @@ func TestTranscripts(t *testing.T) {
 		})
 	}
 }
+
+// A request line longer than the simulated socket's buffer is still
+// served: it is mirrored as one full-buffer receive instead of a
+// receive that comes back short and drops the connection.
+func TestLineLongerThanSocketBuffer(t *testing.T) {
+	d, err := daemon.New(daemon.Flags{EPCppMB: 1, Syscall: "rpc", Workers: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	h, err := newServer(d, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := append(bytes.Repeat([]byte("x"), 70<<10), "\nQUIT\n"...)
+	got, err := d.Transcript(h, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "ERROR unknown command\n"; string(got) != want {
+		t.Fatalf("answer %q, want %q", got, want)
+	}
+}

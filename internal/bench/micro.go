@@ -9,7 +9,6 @@ import (
 	"eleos/internal/phys"
 	"eleos/internal/pserver"
 	"eleos/internal/report"
-	"eleos/internal/sgx"
 )
 
 func init() {
@@ -340,5 +339,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-var _ = sgx.HeapBase // reserved for future experiments touching raw addresses

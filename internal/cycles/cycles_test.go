@@ -47,28 +47,6 @@ func TestExitRoundTripMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestGroupAggregation(t *testing.T) {
-	m := DefaultModel()
-	g := NewGroup(m)
-	a := g.Add(NewThread(1, m))
-	b := g.Add(NewThread(2, m))
-	a.Charge(100)
-	b.Charge(250)
-	if g.MaxCycles() != 250 {
-		t.Fatalf("max %d", g.MaxCycles())
-	}
-	if g.TotalCycles() != 350 {
-		t.Fatalf("total %d", g.TotalCycles())
-	}
-	if tp := g.Throughput(700); tp != 700/m.Seconds(250) {
-		t.Fatalf("throughput %v", tp)
-	}
-	g.Reset()
-	if g.TotalCycles() != 0 {
-		t.Fatal("group reset")
-	}
-}
-
 func TestConcurrentChargeIsLossless(t *testing.T) {
 	th := NewThread(1, DefaultModel())
 	var wg sync.WaitGroup

@@ -160,13 +160,17 @@ type Lines struct {
 	Commands map[string]Command
 }
 
+// sockBytes is the staging buffer of a connection's simulated socket.
+const sockBytes = 64 << 10
+
 // Lines returns a handler for the line protocol l. Every TCP read and
 // write is mirrored as a simulated recv or send on an exit-less
 // endpoint over the daemon's engine, so the STATS cycle counts include
-// the I/O path.
+// the I/O path. A line longer than the socket's buffer is mirrored as
+// one full-buffer receive, since a longer one comes back short.
 func (d *Daemon) Lines(l Lines) Handler {
 	return func(conn net.Conn, th *sgx.Thread) error {
-		ep := exitio.NewEndpoint(d.Eng.NewQueue(), netsim.NewSocket(d.Plat, 64<<10))
+		ep := exitio.NewEndpoint(d.Eng.NewQueue(), netsim.NewSocket(d.Plat, sockBytes))
 		defer ep.Close()
 		r := bufio.NewReader(conn)
 		w := bufio.NewWriter(conn)
@@ -178,7 +182,7 @@ func (d *Daemon) Lines(l Lines) Handler {
 			if err != nil {
 				return err
 			}
-			if err := ep.Recv(th, len(line)); err != nil {
+			if err := ep.Recv(th, min(len(line), sockBytes)); err != nil {
 				return err
 			}
 			fields := strings.Fields(line)

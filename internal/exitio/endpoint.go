@@ -1,9 +1,16 @@
 package exitio
 
 import (
+	"errors"
+	"fmt"
+
 	"eleos/internal/netsim"
 	"eleos/internal/sgx"
 )
+
+// ErrShortIO marks an endpoint receive or send that reports another
+// byte count than requested: a short transfer, or a lying host.
+var ErrShortIO = errors.New("exitio: short I/O")
 
 // Endpoint is one exit-less socket: a netsim.Socket plus the Queue its
 // receives and sends are submitted on. It is the one request/response
@@ -69,7 +76,8 @@ func (e *Endpoint) Send(th *sgx.Thread, n int) error {
 
 // Flush submits everything staged (a deferred send) and waits for it;
 // with nothing staged it charges nothing. Call it when the request
-// stream pauses or ends.
+// stream pauses or ends. A receive or send the untrusted side reports
+// as moving other than the requested byte count fails with ErrShortIO.
 //
 //eleos:hotpath budget=0
 func (e *Endpoint) Flush(th *sgx.Thread) error {
@@ -77,7 +85,20 @@ func (e *Endpoint) Flush(th *sgx.Thread) error {
 	if err != nil {
 		return err
 	}
-	return FirstErr(cqes)
+	if err := FirstErr(cqes); err != nil {
+		return err
+	}
+	for _, c := range cqes {
+		want := e.send.N
+		if c.Kind == OpRecv {
+			want = e.recv.N
+		}
+		if c.N != want {
+			//eleos:allow hotpath -- cold error path: the untrusted side moved a short count
+			return fmt.Errorf("%w: %s moved %d of %d bytes", ErrShortIO, c.Kind, c.N, want)
+		}
+	}
+	return nil
 }
 
 // Close drops a deferred send that was never flushed and releases the

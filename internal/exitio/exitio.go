@@ -12,9 +12,9 @@
 //
 // The engine carries a pluggable dispatch mode deciding how a staged
 // chain reaches the untrusted side: executed inline on the caller's
-// host context (native baseline), via an OCALL exit, via one
-// synchronous exit-less RPC, or via the rpc pool's asynchronous path
-// with residual-latency accounting at reap time. In single-op
+// host context (native baseline), via an OCALL exit, or as an exit-less
+// RPC settled with residual-latency accounting at once (sync) or at
+// reap time (async). In single-op
 // synchronous modes the engine charges exactly the cycle sequence of
 // the per-server switches it replaced — the golden server fingerprint
 // tests pin that equivalence bit-for-bit.
@@ -47,9 +47,9 @@ const (
 	// ModeOCall exits the enclave once per chain, runs the ops, and
 	// re-enters — the SDK baseline the paper measures against.
 	ModeOCall
-	// ModeRPCSync delegates each chain to an untrusted worker with one
-	// synchronous exit-less call (§3.1), charging the worker's full
-	// latency to the caller.
+	// ModeRPCSync is ModeRPCAsync with every chain settled at once,
+	// before the next is cut: the synchronous exit-less call of §3.1,
+	// charging the worker's full latency to the caller.
 	ModeRPCSync
 	// ModeRPCAsync posts each chain through the rpc pool's async path:
 	// the caller keeps computing and the residual latency — the part
@@ -188,9 +188,6 @@ func NewEngine(mode Mode, pool *rpc.Pool) (*Engine, error) {
 // start in. A queue may diverge later via Queue.SetMode.
 func (e *Engine) Mode() Mode { return e.mode }
 
-// Pool returns the worker pool (nil in the non-RPC modes).
-func (e *Engine) Pool() *rpc.Pool { return e.pool }
-
 // NewQueue creates a submission/completion queue in the engine's
 // default dispatch mode. A Queue is owned by one serving thread: stage,
 // submit and reap from that thread only.
@@ -222,8 +219,8 @@ func (e *Engine) NewGroupQueue(g *Group) *Queue {
 // Stats is a snapshot of engine activity.
 type Stats struct {
 	// Doorbells counts boundary crossings: one per submitted chain,
-	// whatever the mode (a direct/OCALL execution, one sync RPC, or
-	// one async descriptor publish).
+	// whatever the mode (a direct/OCALL execution or one RPC
+	// descriptor publish).
 	Doorbells uint64
 	// Chains and Ops count submitted chains and the ops they carried.
 	Chains uint64
@@ -232,8 +229,9 @@ type Stats struct {
 	// Chains).
 	Linked uint64
 	// ReapStallCycles accumulates the virtual cycles charged while
-	// settling async completions at reap time: the residual worker
-	// latency the caller's compute did not hide, plus completion polls.
+	// settling RPC chains (sync ones at submit, async ones at reap): the
+	// residual worker latency the caller's compute did not hide, plus
+	// completion polls.
 	ReapStallCycles uint64
 	// ModeSwitches counts Queue.SetMode calls that actually changed a
 	// queue's dispatch mode — the self-tuning controller's live

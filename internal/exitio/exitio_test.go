@@ -2,6 +2,7 @@ package exitio_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"eleos/internal/exitio"
@@ -324,6 +325,86 @@ func TestAsyncChargesAtMostSync(t *testing.T) {
 	async := run(exitio.ModeRPCAsync)
 	if async > sync {
 		t.Fatalf("async charged %d cycles > sync %d for the same workload", async, sync)
+	}
+}
+
+// A sync-mode chain is an async one waited at once: the same op stream
+// charges the same cycles, in total and inside the enclave, and records
+// the same reap stall and rpc wait, whether Submit settles each chain
+// in ModeRPCSync or SubmitAndWait does right after it in ModeRPCAsync.
+func TestSyncModeIsAsyncWaitedAtOnce(t *testing.T) {
+	type charge struct {
+		total, enclave, stall, wait uint64
+		cqes                        []exitio.CQE
+	}
+	run := func(mode exitio.Mode) charge {
+		e, eng := newEnv(t, mode)
+		fs := fsim.NewFS(e.plat)
+		sock := netsim.NewSocket(e.plat, 1<<16)
+		defer sock.Close()
+		q := eng.NewQueue()
+		data := make([]byte, 512)
+		var out charge
+		settle := func() {
+			if mode == exitio.ModeRPCSync {
+				if err := q.Submit(e.th); err != nil {
+					t.Fatal(err)
+				}
+				if q.InFlight() != 0 {
+					t.Fatalf("sync Submit left %d ops in flight", q.InFlight())
+				}
+				out.cqes = append(out.cqes, q.Reap(e.th)...)
+				return
+			}
+			cqes, err := q.SubmitAndWait(e.th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.cqes = append(out.cqes, cqes...)
+		}
+		q.Push(exitio.Open{FS: fs, Name: "/log"})
+		settle()
+		fd := out.cqes[0].N
+		for i := 0; i < 32; i++ {
+			sock.Deliver(data)
+			q.Push(exitio.Recv{Sock: sock, N: len(data)})
+			q.PushLinked(exitio.Send{Sock: sock, N: 64})
+			settle()
+			e.th.T.Charge(3000) // enclave compute between requests
+			q.Push(exitio.Pwrite{FS: fs, FD: fd, Off: uint64(i * len(data)), Data: data})
+			q.PushLinked(exitio.Fsync{FS: fs, FD: fd})
+			settle()
+		}
+		out.total, out.enclave = e.th.T.Cycles(), e.th.SyncEnclaveCycles()
+		out.stall, out.wait = eng.Stats().ReapStallCycles, e.pool.Stats().WaitCycles
+		return out
+	}
+	sync, async := run(exitio.ModeRPCSync), run(exitio.ModeRPCAsync)
+	if !reflect.DeepEqual(sync, async) {
+		t.Fatalf("sync mode charged total=%d enclave=%d stall=%d wait=%d, async waited at once total=%d enclave=%d stall=%d wait=%d",
+			sync.total, sync.enclave, sync.stall, sync.wait, async.total, async.enclave, async.stall, async.wait)
+	}
+	if sync.stall == 0 || sync.wait == 0 {
+		t.Fatalf("sync mode recorded no wait: stall=%d wait=%d", sync.stall, sync.wait)
+	}
+}
+
+// An endpoint receive larger than its socket's buffer comes back short,
+// as recv(2) would, and Flush reports it as ErrShortIO in every mode.
+func TestEndpointShortRecv(t *testing.T) {
+	for _, mode := range []exitio.Mode{exitio.ModeDirect, exitio.ModeOCall, exitio.ModeRPCSync, exitio.ModeRPCAsync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e, eng := newEnv(t, mode)
+			ep := exitio.NewEndpoint(eng.NewQueue(), netsim.NewSocket(e.plat, 4096))
+			defer ep.Close()
+			ep.Socket().Deliver(make([]byte, 4096))
+			if err := ep.Recv(e.th, 4096); err != nil {
+				t.Fatalf("full-buffer recv: %v", err)
+			}
+			if err := ep.Recv(e.th, 8192); !errors.Is(err, exitio.ErrShortIO) {
+				t.Fatalf("oversized recv = %v, want ErrShortIO", err)
+			}
+		})
 	}
 }
 

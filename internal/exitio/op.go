@@ -78,10 +78,7 @@ type Send struct {
 func (o Send) Kind() Kind { return OpSend }
 
 //eleos:untrusted
-func (o Send) exec(h *sgx.HostCtx) (int, error) {
-	o.Sock.Send(h, o.N)
-	return o.N, nil
-}
+func (o Send) exec(h *sgx.HostCtx) (int, error) { return o.Sock.Send(h, o.N), nil }
 
 // Open opens (creating if needed) a file; the CQE's N is the new fd.
 type Open struct {

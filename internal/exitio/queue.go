@@ -88,9 +88,6 @@ type Queue struct {
 	spare []CQE
 }
 
-// Engine returns the owning engine.
-func (q *Queue) Engine() *Engine { return q.eng }
-
 // Mode returns the queue's current dispatch mode.
 func (q *Queue) Mode() Mode { return q.mode }
 
@@ -183,11 +180,11 @@ func execChain(h *sgx.HostCtx, ops []sqe, res []result) {
 // the boundary once, via the queue's dispatch mode. Synchronous modes
 // (Direct, OCall, RPCSync) complete the chains before returning — a
 // single-op chain in those modes charges exactly what the per-server
-// switches used to. ModeRPCAsync publishes each chain to the pool and
-// returns; completions are settled at reap. th is the owning enclave
-// thread (a host thread in ModeDirect). On an rpc pool error the
-// already-dispatched chains keep their completions and the remaining
-// staged chains are dropped.
+// switches used to. Both RPC modes publish each chain to the pool;
+// ModeRPCSync settles it at once, ModeRPCAsync at reap. th is the
+// owning enclave thread (a host thread in ModeDirect). On an rpc pool
+// error the already-dispatched chains keep their completions and the
+// remaining staged chains are dropped.
 //
 //eleos:hotpath budget=0
 func (q *Queue) Submit(th *sgx.Thread) error {
@@ -235,14 +232,7 @@ func (q *Queue) Submit(th *sgx.Thread) error {
 		case ModeOCall:
 			th.OCall(c.exec)
 			q.complete(c)
-		case ModeRPCSync:
-			if err := q.eng.pool.Call(th, c.exec); err != nil {
-				q.eng.putChain(c)
-				//eleos:allow hotpath -- cold error path: the pool refused the chain
-				return fmt.Errorf("exitio: submit: %w", err)
-			}
-			q.complete(c)
-		case ModeRPCAsync:
+		case ModeRPCSync, ModeRPCAsync:
 			if err := q.eng.pool.CallAsyncInto(&c.fut, th, c.exec); err != nil {
 				q.eng.putChain(c)
 				//eleos:allow hotpath -- cold error path: the pool refused the chain
@@ -250,6 +240,9 @@ func (q *Queue) Submit(th *sgx.Thread) error {
 			}
 			//eleos:allow hotpath -- amortized: the pending list keeps its capacity across reaps
 			q.pending = append(q.pending, c)
+			if q.mode == ModeRPCSync {
+				q.retireHead(th)
+			}
 		}
 	}
 	return nil

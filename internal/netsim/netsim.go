@@ -101,9 +101,11 @@ func (s *Socket) Deliver(payload []byte) {
 // into the staging buffer. These internal buffers are the cache
 // pollution of §2.2.1: their footprint scales with the request size,
 // and where they land — the enclave's ways or the RPC workers' CAT
-// partition — is decided by the calling context. Returns n.
+// partition — is decided by the calling context. Like recv(2), it moves
+// at most the user buffer's size and returns the byte count.
 func (s *Socket) Recv(h *sgx.HostCtx, n int) int {
 	defer s.unguard(s.guard(h))
+	n = s.clamp(n)
 	h.Syscall(func(c *sgx.HostCtx) {
 		span := 4*n + 2048
 		if span > kernBufBytes {
@@ -120,9 +122,11 @@ func (s *Socket) Recv(h *sgx.HostCtx, n int) int {
 }
 
 // Send performs the kernel half of send(2): copy_from_user plus the
-// kernel buffer write-out.
-func (s *Socket) Send(h *sgx.HostCtx, n int) {
+// kernel buffer write-out. Like Recv, it moves at most the user
+// buffer's size and returns the byte count.
+func (s *Socket) Send(h *sgx.HostCtx, n int) int {
 	defer s.unguard(s.guard(h))
+	n = s.clamp(n)
 	h.Syscall(func(c *sgx.HostCtx) {
 		c.Touch(s.userBuf, n, false)
 		k := n
@@ -131,6 +135,15 @@ func (s *Socket) Send(h *sgx.HostCtx, n int) {
 		}
 		c.Touch(s.kernBuf, k, true)
 	})
+	return n
+}
+
+// clamp bounds a transfer of n bytes to the user buffer.
+func (s *Socket) clamp(n int) int {
+	if uint64(n) > s.userSize {
+		return int(s.userSize)
+	}
+	return n
 }
 
 // guard claims the socket for the calling context, panicking if another

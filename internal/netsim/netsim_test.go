@@ -35,6 +35,24 @@ func TestDeliverRecvDataFlow(t *testing.T) {
 	}
 }
 
+// Like recv(2) and send(2), a transfer larger than the user buffer
+// moves only what fits, and the returned count says so.
+func TestTransfersClampToUserBuffer(t *testing.T) {
+	p := newPlat(t)
+	s := NewSocket(p, 4096)
+	defer s.Close()
+	h := p.NewHostThread(cache.CoSDefault).HostContext()
+	if n := s.Recv(h, 100); n != 100 {
+		t.Fatalf("Recv(100) = %d", n)
+	}
+	if n := s.Recv(h, 8192); n != 4096 {
+		t.Fatalf("Recv(8192) = %d, want the 4096-byte buffer", n)
+	}
+	if n := s.Send(h, 8192); n != 4096 {
+		t.Fatalf("Send(8192) = %d, want the 4096-byte buffer", n)
+	}
+}
+
 func TestRecvChargesSyscallAndBuffers(t *testing.T) {
 	p := newPlat(t)
 	s := NewSocket(p, 64<<10)

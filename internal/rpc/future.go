@@ -41,10 +41,7 @@ func (f *Future) Wait(caller *sgx.Thread) {
 	}
 	req := f.req
 	f.pool.await(req)
-	residual := caller.ChargeResidual(req.submitStamp, req.workCycles)
-	caller.ChargeOutside(caller.Platform().Model.RPCPoll)
-	f.pool.waitCycles.Add(residual)
-	f.pool.settledWork.Add(req.workCycles)
+	f.pool.settle(caller, req.submitStamp, req.workCycles, req.workCycles)
 	f.work = req.workCycles
 	f.waited = true
 	f.req = nil

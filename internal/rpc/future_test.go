@@ -51,7 +51,7 @@ func TestAsyncImmediateWaitMatchesSyncCharge(t *testing.T) {
 		t.Fatalf("WorkCycles = %d, want %d", f.WorkCycles(), m.Syscall)
 	}
 	st := pool.Stats()
-	if st.AsyncCalls != 1 || st.Calls != 1 {
+	if st.Calls-st.BatchedCalls != 1 || st.Calls != 1 {
 		t.Fatalf("counters %+v", st)
 	}
 	// Double Wait is a no-op: no further charge.
@@ -59,6 +59,38 @@ func TestAsyncImmediateWaitMatchesSyncCharge(t *testing.T) {
 	f.Wait(th)
 	if th.T.Cycles() != after {
 		t.Fatal("second Wait charged the caller again")
+	}
+}
+
+// Call is CallAsync waited at once: on a fresh pool, one call of known
+// work charges the caller the same cycles, in total and inside the
+// enclave, either way, and all of that work is wait time.
+func TestCallIsAsyncWaitedAtOnce(t *testing.T) {
+	const work = 4750
+	type charge struct{ total, enclave, wait uint64 }
+	run := func(call func(*Pool, *sgx.Thread, func(*sgx.HostCtx))) charge {
+		_, th, pool := newAsyncEnv(t, 1)
+		th.T.Charge(1000) // enclave compute before the call
+		call(pool, th, func(h *sgx.HostCtx) { h.Thread().T.Charge(work) })
+		return charge{th.T.Cycles(), th.SyncEnclaveCycles(), pool.Stats().WaitCycles}
+	}
+	sync := run(func(p *Pool, th *sgx.Thread, fn func(*sgx.HostCtx)) {
+		if err := p.Call(th, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	async := run(func(p *Pool, th *sgx.Thread, fn func(*sgx.HostCtx)) {
+		f, err := p.CallAsync(th, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Wait(th)
+	})
+	if sync != async {
+		t.Fatalf("Call charged %+v, CallAsync+Wait %+v", sync, async)
+	}
+	if sync.wait != work {
+		t.Fatalf("Call recorded WaitCycles %d, want the whole work %d", sync.wait, work)
 	}
 }
 

@@ -19,8 +19,8 @@ var ErrStopped = errors.New("rpc: pool is not running")
 
 // request is one delegated untrusted call. The enclave-side caller spins
 // on done; the worker publishes the virtual cycles the call consumed so
-// the caller can account the synchronous latency it observed (or, for
-// async submissions, only the part not hidden behind its own compute).
+// the caller can be charged the part of that latency not hidden behind
+// its own compute (all of it when it waits at once, as Call does).
 // Requests are recycled through a sync.Pool; ownership returns to the
 // submitter once done is set.
 type request struct {
@@ -38,10 +38,9 @@ type request struct {
 // Stats counts pool activity.
 type Stats struct {
 	// Calls is the total number of requests executed through the pool,
-	// whatever the submission path (sync, async or batched).
-	Calls      uint64
-	SyncCalls  uint64
-	AsyncCalls uint64
+	// single (Call, CallAsync) or batched; single calls are Calls -
+	// BatchedCalls.
+	Calls uint64
 	// Batches counts CallBatch invocations; BatchedCalls counts the
 	// requests those batches carried.
 	Batches      uint64
@@ -62,17 +61,17 @@ type Stats struct {
 	// requests; PeakQueueDepth is its high-water mark.
 	QueueDepth     int64
 	PeakQueueDepth int64
-	// WaitCycles accumulates the residual synchronous latency charged at
-	// Future.Wait / CallBatch collection — the part of the workers' time
-	// the callers could not hide behind their own compute.
+	// WaitCycles accumulates the residual latency charged whenever a
+	// caller observes a completion (Call, Future.Wait, CallBatch
+	// collection): the part of the workers' time the callers could not
+	// hide behind their own compute, which for Call is all of it.
 	WaitCycles uint64
 	// SettledWorkCycles accumulates the worker execution cycles of every
-	// request whose completion the submitter has observed (Call return,
-	// Future.Wait, CallBatch collection). Unlike WorkerOps it
-	// advances only on the submitting threads, so in a single-driver run
-	// it is a deterministic measure of offered service demand — the
-	// signal the self-tuning controller divides by elapsed virtual time
-	// to estimate required parallelism.
+	// request whose completion the submitter has observed. Unlike
+	// WorkerOps it advances only on the submitting threads, so in a
+	// single-driver run it is a deterministic measure of offered
+	// service demand — the signal the self-tuning controller divides by
+	// elapsed virtual time to estimate required parallelism.
 	SettledWorkCycles uint64
 	// Workers is the live worker count at snapshot time; Grows and
 	// Shrinks count Resize operations in each direction.
@@ -141,8 +140,6 @@ type Pool struct {
 	reqPool sync.Pool
 
 	calls        atomic.Uint64
-	syncCalls    atomic.Uint64
-	asyncCalls   atomic.Uint64
 	batches      atomic.Uint64
 	batchedCalls atomic.Uint64
 	workerOps    atomic.Uint64
@@ -296,8 +293,6 @@ func (p *Pool) Workers() []*sgx.Thread {
 func (p *Pool) Stats() Stats {
 	return Stats{
 		Calls:             p.calls.Load(),
-		SyncCalls:         p.syncCalls.Load(),
-		AsyncCalls:        p.asyncCalls.Load(),
 		Batches:           p.batches.Load(),
 		BatchedCalls:      p.batchedCalls.Load(),
 		WorkerOps:         p.workerOps.Load(),
@@ -474,6 +469,19 @@ func (p *Pool) await(req *request) {
 	}
 }
 
+// settle charges caller for observing a completion it submitted at
+// stamp: the part of latency its own compute since then did not hide,
+// then the completion poll. It is the one charge rule for every settled
+// request; work is the worker cycles the completion carried.
+//
+//eleos:hotpath budget=0
+func (p *Pool) settle(caller *sgx.Thread, stamp, latency, work uint64) {
+	residual := caller.ChargeResidual(stamp, latency)
+	caller.ChargeOutside(caller.Platform().Model.RPCPoll)
+	p.waitCycles.Add(residual)
+	p.settledWork.Add(work)
+}
+
 // runThrough executes w's queued requests in FIFO order, up to ticket
 // last, on w's thread, and returns how many it ran. The caller holds
 // w.run, which makes it the ring's single consumer.
@@ -528,34 +536,20 @@ func (p *Pool) sleep(w *worker) {
 	w.sleeping.Store(false)
 }
 
-// Call delegates fn to a worker without exiting the enclave. The caller
-// is charged the descriptor enqueue, the synchronous latency of the
-// worker's execution (the virtual cycles the work consumed), and the
-// completion-polling overhead — but no EEXIT/EENTER, no TLB flush and no
-// enclave state disturbance. Safe for concurrent use by many enclave
-// threads. Returns ErrStopped if the pool is not running.
+// Call delegates fn to a worker without exiting the enclave: an async
+// call waited at once. The caller is charged the descriptor enqueue,
+// the worker's whole latency (no compute of its own overlaps it) and
+// the completion poll, but no EEXIT/EENTER, no TLB flush and no enclave
+// state disturbance. Safe for concurrent use by many enclave threads.
+// Returns ErrStopped if the pool is not running.
 //
 //eleos:hotpath budget=0
 func (p *Pool) Call(caller *sgx.Thread, fn func(*sgx.HostCtx)) error {
-	if p.state.Load() != poolRunning {
-		return ErrStopped
-	}
-	m := caller.Platform().Model
-	caller.T.Charge(m.RPCEnqueue)
-	req := p.getReq(fn, caller.T.Cycles())
-	one := [...]*request{req}
-	if _, err := p.submit(caller, one[:]); err != nil {
-		p.putReq(req)
+	var fut Future
+	if err := p.CallAsyncInto(&fut, caller, fn); err != nil {
 		return err
 	}
-	p.await(req)
-	// The worker's processing time is observed as synchronous latency,
-	// but it is not enclave execution — the caller merely polls.
-	caller.ChargeOutside(req.workCycles + m.RPCPoll)
-	p.settledWork.Add(req.workCycles)
-	p.calls.Add(1)
-	p.syncCalls.Add(1)
-	p.putReq(req)
+	fut.Wait(caller)
 	return nil
 }
 
@@ -595,7 +589,6 @@ func (p *Pool) CallAsyncInto(fut *Future, caller *sgx.Thread, fn func(*sgx.HostC
 		return err
 	}
 	p.calls.Add(1)
-	p.asyncCalls.Add(1)
 	*fut = Future{pool: p, req: req}
 	return nil
 }
@@ -644,10 +637,7 @@ func (p *Pool) CallBatch(caller *sgx.Thread, fns []func(*sgx.HostCtx)) error {
 	if span < maxWork {
 		span = maxWork
 	}
-	residual := caller.ChargeResidual(stamp, span)
-	caller.ChargeOutside(m.RPCPoll)
-	p.waitCycles.Add(residual)
-	p.settledWork.Add(total)
+	p.settle(caller, stamp, span, total)
 	p.calls.Add(uint64(n))
 	p.batches.Add(1)
 	p.batchedCalls.Add(uint64(n))

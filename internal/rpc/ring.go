@@ -16,14 +16,15 @@
 // threads and may sleep; the wake-on-enqueue path in Pool models that
 // futex.)
 //
-// Submission comes in three flavours: synchronous Call, future-returning
-// CallAsync whose Wait charges only the latency the caller's own compute
-// did not hide, and CallBatch, which publishes N descriptors under a
-// single amortized charge.
+// Submission comes in two flavours: future-returning CallAsync whose
+// Wait charges only the latency the caller's own compute did not hide
+// (Call is CallAsync waited at once), and CallBatch, which publishes N
+// descriptors under a single amortized charge. Both settle by one
+// charge rule (Pool.settle).
 //
 // Every wait for a completion is one loop (Pool.await), whether it is
-// a synchronous Call, a Future.Wait or a CallBatch collection: help,
-// then yield the host CPU and check again. Waiting submitters help: a
+// a Future.Wait or a CallBatch collection: help, then yield the host
+// CPU and check again. Waiting submitters help: a
 // caller about to wait for a request no one has started runs it
 // itself, on the thread of the worker whose ring holds it, together
 // with the requests queued ahead of it on that ring (never those
