@@ -143,7 +143,7 @@ func driveTrace(t *testing.T, pol tune.Policy) ([]tune.Decision, tune.Stats, tun
 }
 
 // decisionTraceFingerprint pins driveTrace's decision sequence.
-const decisionTraceFingerprint uint64 = 0x620c64d12d5b0cc0
+const decisionTraceFingerprint uint64 = 0x90addd30b9c7e49a
 
 // traceFingerprint hashes the full %+v rendering of a decision trace,
 // so a pinned value catches a change to any field of any decision, not

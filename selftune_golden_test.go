@@ -106,7 +106,7 @@ func TestAutotuneDisabledIsCycleNeutral(t *testing.T) {
 
 // autoTuneTraceFingerprint pins the runtime-wired tuner's decision
 // sequence below.
-const autoTuneTraceFingerprint uint64 = 0xd1b85f2bfc375e6c
+const autoTuneTraceFingerprint uint64 = 0x9b0da67966021ecf
 
 // traceFingerprint hashes the full %+v rendering of a decision trace,
 // so a pinned value catches a change to any field of any decision, not
