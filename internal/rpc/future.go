@@ -16,7 +16,6 @@ import "eleos/internal/sgx"
 type Future struct {
 	pool   *Pool
 	req    *request
-	work   uint64
 	waited bool
 }
 
@@ -42,12 +41,7 @@ func (f *Future) Wait(caller *sgx.Thread) {
 	req := f.req
 	f.pool.await(req)
 	f.pool.settle(caller, req.submitStamp, req.workCycles, req.workCycles)
-	f.work = req.workCycles
 	f.waited = true
 	f.req = nil
 	f.pool.putReq(req)
 }
-
-// WorkCycles returns the virtual cycles the worker spent executing the
-// call. Valid after Wait.
-func (f *Future) WorkCycles() uint64 { return f.work }

@@ -34,6 +34,7 @@ func TestAsyncImmediateWaitMatchesSyncCharge(t *testing.T) {
 	m := plat.Model
 
 	before := th.T.Cycles()
+	workBefore := pool.Stats().SettledWorkCycles
 	f, err := pool.CallAsync(th, func(h *sgx.HostCtx) { h.Syscall(nil) })
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +48,10 @@ func TestAsyncImmediateWaitMatchesSyncCharge(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("future not done after Wait")
 	}
-	if f.WorkCycles() != m.Syscall {
-		t.Fatalf("WorkCycles = %d, want %d", f.WorkCycles(), m.Syscall)
-	}
 	st := pool.Stats()
+	if work := st.SettledWorkCycles - workBefore; work != m.Syscall {
+		t.Fatalf("settled work = %d, want %d", work, m.Syscall)
+	}
 	if st.Calls-st.BatchedCalls != 1 || st.Calls != 1 {
 		t.Fatalf("counters %+v", st)
 	}

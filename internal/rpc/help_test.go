@@ -116,13 +116,14 @@ func TestWakeChargeStaysOutOfHelpedCall(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond) // past the depth re-check, blocked on its wake channel
 		if i%2 == 0 {
+			workBefore := pool.Stats().SettledWorkCycles
 			f, err := pool.CallAsync(th, slow)
 			if err != nil {
 				t.Fatal(err)
 			}
 			f.Wait(th)
-			if f.WorkCycles() != m.Syscall {
-				t.Fatalf("round %d: WorkCycles = %d, want %d (a wake leaked into the call)", i, f.WorkCycles(), m.Syscall)
+			if work := pool.Stats().SettledWorkCycles - workBefore; work != m.Syscall {
+				t.Fatalf("round %d: settled work = %d, want %d (a wake leaked into the call)", i, work, m.Syscall)
 			}
 			continue
 		}
