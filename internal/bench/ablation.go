@@ -18,47 +18,54 @@ func init() {
 	register("abl-evict", "Ablation: EPC++ eviction policy", ablEviction)
 }
 
+// steadyState builds an SUVM heap from cfg in a fresh enclave, writes a
+// size-byte buffer in chunk-byte pieces, runs pass once so paging
+// reaches steady state, resets the counters, and runs pass again. It
+// returns the measured pass's cycles and the heap's stats for it.
+func steadyState(cfg suvm.Config, size uint64, chunk int, pass func(th *sgx.Thread, p *suvm.SPtr)) (uint64, suvm.StatsSnapshot) {
+	v := enclaveEnv(0)
+	h, err := suvm.New(v.encl, v.th, cfg)
+	must(err)
+	v.heap = h
+	p, err := h.Malloc(size)
+	must(err)
+	fill(v.th, p, size, chunk)
+	pass(v.th, p)
+	resetCounters(v.plat, v.th, h)
+	pass(v.th, p)
+	return v.th.T.Cycles(), h.Stats()
+}
+
+// fill writes p's first size bytes on th in chunk-byte pieces.
+func fill(th *sgx.Thread, p *suvm.SPtr, size uint64, chunk int) {
+	buf := make([]byte, chunk)
+	for off := uint64(0); off+uint64(chunk) <= size; off += uint64(chunk) {
+		must(p.WriteAt(th, off, buf))
+	}
+}
+
 // suvmScan runs a mixed read-mostly random workload over a working set
 // far beyond EPC++ and returns cycles/op.
 func suvmScan(cfg suvm.Config, bufBytes uint64, ops int, writeFrac int) float64 {
-	v := enclaveEnv(0)
-	h, err := suvm.New(v.encl, v.th, cfg)
-	if err != nil {
-		panic(err)
-	}
-	v.heap = h
-	p, err := h.Malloc(bufBytes)
-	if err != nil {
-		panic(err)
-	}
-	buf := make([]byte, 4096)
-	for off := uint64(0); off+4096 <= bufBytes; off += 4096 {
-		if err := p.WriteAt(v.th, off, buf); err != nil {
-			panic(err)
-		}
-	}
 	rng := rand.New(rand.NewSource(21))
-	run := func() {
+	buf := make([]byte, 4096)
+	cyc, _ := steadyState(cfg, bufBytes, 4096, func(th *sgx.Thread, p *suvm.SPtr) {
 		for i := 0; i < ops; i++ {
 			off := uint64(rng.Intn(int(bufBytes/4096))) * 4096
 			if rng.Intn(100) < writeFrac {
-				_ = p.WriteAt(v.th, off, buf)
+				_ = p.WriteAt(th, off, buf)
 			} else {
-				_ = p.ReadAt(v.th, off, buf)
+				_ = p.ReadAt(th, off, buf)
 			}
 		}
-	}
-	run() // steady state
-	resetCounters(v.plat, v.th, v.heap)
-	run()
-	return perOp(v.th.T.Cycles(), ops)
+	})
+	return perOp(cyc, ops)
 }
 
 // ablWriteBack: the §3.2.4 clean-page optimization. A read-mostly
 // workload (10% writes) evicts mostly clean pages; skipping their
 // write-back should approach the paper's up-to-1.7x claim.
 func ablWriteBack(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Ablation: write-back avoidance for clean pages",
 		"write fraction", "always write back (cyc/op)", "skip clean (cyc/op)", "gain")
 	t.Note = "paper claims up to 1.7x from this optimization"
@@ -74,57 +81,22 @@ func ablWriteBack(rc RunConfig) (*Result, error) {
 // spointer. A sequential in-page scan via a linked spointer pays one
 // lookup per page; the same scan through ReadAt pays one per access.
 func ablLinkCache(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	v := enclaveEnv(48 << 20)
 	const size = 4 << 20 // LLC-resident: isolates translation costs
 	p, err := v.heap.Malloc(size)
 	if err != nil {
 		panic(err)
 	}
-	buf := make([]byte, 4096)
-	for off := uint64(0); off+4096 <= size; off += 4096 {
-		_ = p.WriteAt(v.th, off, buf)
-	}
+	fill(v.th, p, size, 4096)
 	t := report.New("Ablation: spointer link caching",
 		"access bytes", "linked walk (cyc/op)", "unlinked ReadAt (cyc/op)", "link gain")
 	t.Note = "link caching amortizes the page-table lookup to one per page (§3.2.2)"
-	warm := func() {
-		w := make([]byte, 4096)
-		for off := uint64(0); off+4096 <= size; off += 4096 {
-			_ = p.ReadAt(v.th, off, w)
-		}
-	}
 	for _, elem := range []int{16, 64, 256, 1024} {
 		ops := rc.Ops
-		b := make([]byte, elem)
-		// Linked walk over a warm cache.
-		warm()
-		_ = p.Seek(v.th, 0)
-		v.th.T.Reset()
-		for i := 0; i < ops; i++ {
-			if p.Offset()+uint64(elem) > size {
-				_ = p.Seek(v.th, 0)
-			}
-			if err := p.Read(v.th, b); err != nil {
-				panic(err)
-			}
-			_ = p.Advance(v.th, int64(elem))
-		}
-		linked := perOp(v.th.T.Cycles(), ops)
+		linked := perOp(linkedWalk(v.th, p, size, elem, ops, false), ops)
 		// Unlinked positioned reads over the same sequence, same warmth.
-		warm()
-		v.th.T.Reset()
-		off := uint64(0)
-		for i := 0; i < ops; i++ {
-			if off+uint64(elem) > size {
-				off = 0
-			}
-			if err := p.ReadAt(v.th, off, b); err != nil {
-				panic(err)
-			}
-			off += uint64(elem)
-		}
-		unlinked := perOp(v.th.T.Cycles(), ops)
+		readAt := func(off uint64, b []byte) { must(p.ReadAt(v.th, off, b)) }
+		unlinked := perOp(seqWalk(v.th, size, elem, ops, readAt, nil, readAt), ops)
 		t.AddRow(elem, linked, unlinked, report.Ratio(unlinked, linked))
 	}
 	return &Result{ID: "abl-link", Title: "Link caching", Tables: []*report.Table{t}}, nil
@@ -134,44 +106,22 @@ func ablLinkCache(rc RunConfig) (*Result, error) {
 // pages waste fault work on metadata; large pages waste bandwidth on
 // unused bytes when accesses are small.
 func ablPageSize(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Ablation: EPC++ page size (random 512B accesses over 128MB, EPC++ 16MB)",
 		"page size", "cyc/op", "major faults / 1k ops")
 	t.Note = "larger pages amortize crypto but page in unused bytes (§3.4)"
 	for _, ps := range []int{512, 1024, 4096, 16384} {
-		v := enclaveEnv(0)
-		h, err := suvm.New(v.encl, v.th, suvm.Config{
-			PageCacheBytes: 16 << 20, PageSize: ps, SubPageSize: minInt(ps, 512), BackingBytes: 1 << 30,
-		})
-		if err != nil {
-			panic(err)
-		}
-		v.heap = h
 		const size = 128 << 20
-		p, err := h.Malloc(size)
-		if err != nil {
-			panic(err)
-		}
-		chunk := make([]byte, 64<<10)
-		for off := uint64(0); off+uint64(len(chunk)) <= size; off += uint64(len(chunk)) {
-			_ = p.WriteAt(v.th, off, chunk)
-		}
 		ops := rc.Ops / 2
 		b := make([]byte, 512)
 		rng := rand.New(rand.NewSource(31))
-		run := func() {
+		cyc, st := steadyState(suvm.Config{
+			PageCacheBytes: 16 << 20, PageSize: ps, SubPageSize: min(ps, 512), BackingBytes: 1 << 30,
+		}, size, 64<<10, func(th *sgx.Thread, p *suvm.SPtr) {
 			for i := 0; i < ops; i++ {
-				off := uint64(rng.Intn(size/512)) * 512
-				if err := p.ReadAt(v.th, off, b); err != nil {
-					panic(err)
-				}
+				must(p.ReadAt(th, uint64(rng.Intn(size/512))*512, b))
 			}
-		}
-		run()
-		resetCounters(v.plat, v.th, v.heap)
-		run()
-		st := h.Stats()
-		t.AddRow(report.Bytes(uint64(ps)), perOp(v.th.T.Cycles(), ops),
+		})
+		t.AddRow(report.Bytes(uint64(ps)), perOp(cyc, ops),
 			float64(st.MajorFaults)*1000/float64(ops))
 	}
 	return &Result{ID: "abl-pgsz", Title: "Page size sweep", Tables: []*report.Table{t}}, nil
@@ -180,33 +130,19 @@ func ablPageSize(rc RunConfig) (*Result, error) {
 // ablEviction: clock vs FIFO vs random victim selection under a skewed
 // (Zipf-ish hot/cold) access pattern, where recency tracking pays off.
 func ablEviction(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Ablation: eviction policy under a skewed access pattern",
 		"policy", "cyc/op", "major faults / 1k ops", "clean drops")
 	t.Note = "clock's reference bits protect the hot set; FIFO and random evict it blindly"
 	const size = 64 << 20
 	const hotFrac = 8 // 1/8 of pages (8MB, half of EPC++) get 80% of accesses
 	for _, pol := range []suvm.EvictionPolicy{suvm.PolicyClock, suvm.PolicyFIFO, suvm.PolicyRandom} {
-		v := enclaveEnv(0)
-		h, err := suvm.New(v.encl, v.th, suvm.Config{
-			PageCacheBytes: 16 << 20, BackingBytes: 1 << 30, Policy: pol,
-		})
-		if err != nil {
-			panic(err)
-		}
-		v.heap = h
-		p, err := h.Malloc(size)
-		if err != nil {
-			panic(err)
-		}
+		const pages = size / phys.PageSize
 		buf := make([]byte, 4096)
-		for off := uint64(0); off+4096 <= size; off += 4096 {
-			_ = p.WriteAt(v.th, off, buf)
-		}
-		pages := size / phys.PageSize
 		rng := rand.New(rand.NewSource(41))
 		ops := rc.Ops * 2 // the hot set needs several passes to stabilize
-		run := func() {
+		cyc, st := steadyState(suvm.Config{
+			PageCacheBytes: 16 << 20, BackingBytes: 1 << 30, Policy: pol,
+		}, size, 4096, func(th *sgx.Thread, p *suvm.SPtr) {
 			for i := 0; i < ops; i++ {
 				var pg int
 				if rng.Intn(100) < 80 {
@@ -214,26 +150,13 @@ func ablEviction(rc RunConfig) (*Result, error) {
 				} else {
 					pg = rng.Intn(pages)
 				}
-				if err := p.ReadAt(v.th, uint64(pg)*phys.PageSize, buf); err != nil {
-					panic(err)
-				}
+				must(p.ReadAt(th, uint64(pg)*phys.PageSize, buf))
 			}
-		}
-		run()
-		resetCounters(v.plat, v.th, v.heap)
-		run()
-		st := h.Stats()
-		t.AddRow(pol.String(), perOp(v.th.T.Cycles(), ops),
+		})
+		t.AddRow(pol.String(), perOp(cyc, ops),
 			float64(st.MajorFaults)*1000/float64(ops), st.CleanDrops)
 	}
 	return &Result{ID: "abl-evict", Title: "Eviction policy", Tables: []*report.Table{t}}, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func init() {
@@ -247,7 +170,6 @@ func init() {
 // remaining per-batch TLB flush still costs, while RPC keeps the TLB
 // warm at any batch size.
 func ablBatch(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Ablation: batched OCALLs (SCONE-style) vs exit-less RPC (cycles/syscall)",
 		"batch", "naive ocall", "batched ocall", "eleos rpc", "rpc vs batched")
 	t.Note = "batching amortizes direct exit costs; only exit-less also keeps the TLB"

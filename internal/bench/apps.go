@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"eleos/internal/exitio"
 	"eleos/internal/faceverify"
@@ -40,7 +39,6 @@ func faceConfigs() []faceConfig {
 // ~4x PRM), one verification request per operation, swept over server
 // thread counts. Native throughput is bounded by the 10GbE link.
 func fig10(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	identities := uint64(2000)
 	ops := rc.Ops / 25
 	if rc.Quick {
@@ -61,20 +59,7 @@ func fig10(rc RunConfig) (*Result, error) {
 	}
 	results := make(map[string][]cell)
 	for _, c := range faceConfigs() {
-		var v *env
-		if c.placement == faceverify.PlaceHost {
-			v = hostEnv()
-		} else {
-			v = enclaveEnv(c.epcpp)
-		}
-		if c.sys == exitio.ModeRPCSync {
-			v.withPool(2)
-			v.plat.LLC.EnablePartitioning(4)
-		}
-		eng, err := exitio.NewEngine(c.sys, v.pool)
-		if err != nil {
-			return nil, fmt.Errorf("fig10 %s: %w", c.name, err)
-		}
+		v, eng := armEnv(c.placement == faceverify.PlaceHost, c.epcpp, c.sys, c.sys == exitio.ModeRPCSync)
 		store, err := faceverify.NewStore(v.plat, v.th, faceverify.Config{
 			Identities: identities,
 			Placement:  c.placement,
@@ -87,50 +72,23 @@ func fig10(rc RunConfig) (*Result, error) {
 		var ths []*sgx.Thread
 		var srvs []*faceverify.Server
 		for _, threads := range []int{1, 2, 4} {
-			for len(ths) < threads {
-				var th *sgx.Thread
-				if len(ths) == 0 {
-					th = v.th
-				} else if c.placement == faceverify.PlaceHost {
-					th = v.plat.NewHostThread(0)
-				} else {
-					th = v.encl.NewThread()
-					th.Enter()
-				}
-				ths = append(ths, th)
+			ths = v.threads(ths, threads)
+			for len(srvs) < threads {
 				srvs = append(srvs, faceverify.NewServerIO(store, eng))
 			}
-			runRound := func(perThread int) {
-				var wg sync.WaitGroup
-				for i := 0; i < threads; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						gen := loadgen.NewKeyGen(int64(threads*10+i), identities)
-						for n := 0; n < perThread; n++ {
-							id := gen.Next() - 1
-							if _, err := srvs[i].Verify(ths[i], id, uint64(n)); err != nil {
-								panic(fmt.Sprintf("fig10 %s: %v", c.name, err))
-							}
-						}
-					}(i)
+			last, err := serveThreads(v, ths, ops/threads, func(i int, th *sgx.Thread, n int) error {
+				gen := loadgen.NewKeyGen(int64(threads*10+i), identities)
+				for j := 0; j < n; j++ {
+					if _, err := srvs[i].Verify(th, gen.Next()-1, uint64(j)); err != nil {
+						return err
+					}
 				}
-				wg.Wait()
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("fig10 %s: %w", c.name, err)
 			}
-			runRound(ops / threads / 4)
-			for _, th := range ths[:threads] {
-				th.T.Reset()
-			}
-			v.plat.Driver.ResetStats()
-			runRound(ops / threads)
-
-			var max uint64
-			for _, th := range ths[:threads] {
-				if cyc := th.T.Cycles(); cyc > max {
-					max = cyc
-				}
-			}
-			cpuTput := float64(ops/threads*threads) / v.plat.Model.Seconds(max)
+			cpuTput := float64(ops/threads*threads) / v.plat.Model.Seconds(last)
 			tput := netsim.CapToLink(cpuTput, reqTotal)
 			results[c.name] = append(results[c.name],
 				cell{threads: threads, tput: tput, capped: tput < cpuTput})
@@ -163,21 +121,8 @@ type mcConfig struct {
 // mcRun loads a store and measures GET throughput (ops/s) for the given
 // thread count.
 func mcRun(rc RunConfig, c mcConfig, valueBytes, threads int, poolBytes uint64) (float64, error) {
-	var v *env
-	if c.placement == mckv.PlaceHost {
-		v = hostEnv()
-	} else {
-		v = enclaveEnv(c.epcpp)
-	}
+	v, eng := armEnv(c.placement == mckv.PlaceHost, c.epcpp, c.sys, c.sys == exitio.ModeRPCSync)
 	defer v.close()
-	if c.sys == exitio.ModeRPCSync {
-		v.withPool(2)
-		v.plat.LLC.EnablePartitioning(4)
-	}
-	eng, err := exitio.NewEngine(c.sys, v.pool)
-	if err != nil {
-		return 0, err
-	}
 	if c.poolBytes != 0 {
 		poolBytes = c.poolBytes
 	}
@@ -201,59 +146,27 @@ func mcRun(rc RunConfig, c mcConfig, valueBytes, threads int, poolBytes uint64) 
 		}
 	}
 
+	ths := v.threads(nil, threads)
 	srvs := make([]*mckv.Server, threads)
-	ths := make([]*sgx.Thread, threads)
 	for i := range srvs {
-		if i == 0 {
-			ths[i] = v.th
-		} else if c.placement == mckv.PlaceHost {
-			ths[i] = v.plat.NewHostThread(0)
-		} else {
-			ths[i] = v.encl.NewThread()
-			ths[i].Enter()
-		}
 		srvs[i] = mckv.NewServerIO(store, eng)
 	}
 	ops := rc.Ops / 4
-	run := func(perThread int) error {
-		var wg sync.WaitGroup
-		errs := make(chan error, threads)
-		for i := 0; i < threads; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				g := loadgen.NewKeyGen(int64(100+i), uint64(items))
-				k := make([]byte, 20)
-				for n := 0; n < perThread; n++ {
-					copy(k, fmt.Sprintf("key-%016d", g.Next()-1))
-					if _, err := srvs[i].ServeGet(ths[i], k); err != nil {
-						errs <- fmt.Errorf("get: %w", err)
-						return
-					}
-				}
-			}(i)
+	last, err := serveThreads(v, ths, ops/threads, func(i int, th *sgx.Thread, n int) error {
+		g := loadgen.NewKeyGen(int64(100+i), uint64(items))
+		k := make([]byte, 20)
+		for j := 0; j < n; j++ {
+			copy(k, fmt.Sprintf("key-%016d", g.Next()-1))
+			if _, err := srvs[i].ServeGet(th, k); err != nil {
+				return fmt.Errorf("get: %w", err)
+			}
 		}
-		wg.Wait()
-		close(errs)
-		return <-errs
-	}
-	if err := run(ops / threads / 4); err != nil { // steady state
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	for _, th := range ths {
-		th.T.Reset()
-	}
-	v.plat.Driver.ResetStats()
-	if err := run(ops / threads); err != nil {
-		return 0, err
-	}
-	var max uint64
-	for _, th := range ths {
-		if cyc := th.T.Cycles(); cyc > max {
-			max = cyc
-		}
-	}
-	cpu := float64(ops/threads*threads) / v.plat.Model.Seconds(max)
+	cpu := float64(ops/threads*threads) / v.plat.Model.Seconds(last)
 	return netsim.CapToLink(cpu, mckv.GetRequestBytes(20)+valueBytes+40), nil
 }
 
@@ -278,7 +191,6 @@ func mcPoolBytes(quick bool) uint64 {
 // fig11: GET throughput for 1KB and 4KB values, normalized to the
 // Graphene baseline (the paper's Fig 11), 4 threads.
 func fig11(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Fig 11: memcached GET throughput normalized to Graphene-SGX (4 threads)",
 		"value size", "config", "ops/s", "vs graphene")
 	t.Note = "paper: SUVM-direct up to 2.2x Graphene; within 17% of the no-fault 20MB run"
@@ -302,7 +214,6 @@ func fig11(rc RunConfig) (*Result, error) {
 // tab4: absolute Kops/s for {1KB,4KB} x {1,4} threads, Graphene vs
 // Eleos vs native, with the slowdown factors the paper tabulates.
 func tab4(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Table 4: memcached throughput (Kops/s) and slowdown vs native",
 		"value", "threads", "graphene", "eleos", "native", "graphene slowdown", "eleos slowdown")
 	t.Note = "paper 1KB/1T: 21.4 (11.1x) vs 43.4 (5.2x) vs 229; 4KB/4T: 41.8 (6.6x) vs 86 (3.2x) vs 274"

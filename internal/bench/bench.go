@@ -17,10 +17,13 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"eleos/internal/cache"
+	"eleos/internal/exitio"
 	"eleos/internal/report"
 	"eleos/internal/rpc"
 	"eleos/internal/sgx"
@@ -85,8 +88,11 @@ type Experiment struct {
 
 var registry []Experiment
 
+// register adds an experiment; its run sees a normalized RunConfig.
 func register(id, title string, run func(RunConfig) (*Result, error)) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+	registry = append(registry, Experiment{ID: id, Title: title, Run: func(rc RunConfig) (*Result, error) {
+		return run(rc.Normalize())
+	}})
 }
 
 // All returns the registered experiments in a stable order.
@@ -138,10 +144,27 @@ func newPlatform() *sgx.Platform {
 	return sgx.MustNewPlatform(sgx.Config{})
 }
 
-// hostEnv is an untrusted-execution environment.
-func hostEnv() *env {
-	p := newPlatform()
-	return &env{plat: p, th: p.NewHostThread(cache.CoSDefault)}
+// armEnv builds one configuration of a server experiment: an untrusted
+// host, or an enclave with an epcpp-byte SUVM heap (none when 0). An RPC
+// mode gets a 2-worker pool, and cat gives those workers their 4-way
+// LLC partition. The engine dispatches the server's socket in mode.
+func armEnv(host bool, epcpp uint64, mode exitio.Mode, cat bool) (*env, *exitio.Engine) {
+	var v *env
+	if host {
+		p := newPlatform()
+		v = &env{plat: p, th: p.NewHostThread(cache.CoSDefault)}
+	} else {
+		v = enclaveEnv(epcpp)
+	}
+	if mode == exitio.ModeRPCSync {
+		v.withPool(2)
+	}
+	if cat {
+		v.plat.LLC.EnablePartitioning(4)
+	}
+	eng, err := exitio.NewEngine(mode, v.pool)
+	must(err)
+	return v, eng
 }
 
 // enclaveEnv builds a platform + enclave + entered thread, and a heap
@@ -179,6 +202,59 @@ func (v *env) close() {
 	}
 }
 
+// threads extends ths to n threads on v: v.th first, then new host
+// threads on a host env and new entered enclave threads otherwise.
+func (v *env) threads(ths []*sgx.Thread, n int) []*sgx.Thread {
+	for len(ths) < n {
+		switch {
+		case len(ths) == 0:
+			ths = append(ths, v.th)
+		case v.encl == nil:
+			ths = append(ths, v.plat.NewHostThread(cache.CoSDefault))
+		default:
+			th := v.encl.NewThread()
+			th.Enter()
+			ths = append(ths, th)
+		}
+	}
+	return ths
+}
+
+// runThreads runs body on every thread of ths at once, each in its own
+// goroutine with its index, and returns the largest thread clock and
+// the bodies' errors.
+func runThreads(ths []*sgx.Thread, body func(i int, th *sgx.Thread) error) (uint64, error) {
+	errs := make([]error, len(ths))
+	var wg sync.WaitGroup
+	for i, th := range ths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = body(i, th)
+		}()
+	}
+	wg.Wait()
+	var last uint64
+	for _, th := range ths {
+		last = max(last, th.T.Cycles())
+	}
+	return last, errors.Join(errs...)
+}
+
+// serveThreads runs serve(i, th, per/4) on every thread of ths as a
+// warm-up, resets the threads' clocks and the paging driver's counters,
+// then runs serve(i, th, per) and returns the largest thread clock.
+func serveThreads(v *env, ths []*sgx.Thread, per int, serve func(i int, th *sgx.Thread, n int) error) (uint64, error) {
+	if _, err := runThreads(ths, func(i int, th *sgx.Thread) error { return serve(i, th, per/4) }); err != nil {
+		return 0, err
+	}
+	for _, th := range ths {
+		th.T.Reset()
+	}
+	v.plat.Driver.ResetStats()
+	return runThreads(ths, func(i int, th *sgx.Thread) error { return serve(i, th, per) })
+}
+
 // resetCounters is the warm-up boundary: it clears th's clock, TLB and
 // enclave-cycle counters, heap's stats (heap may be nil) and the
 // platform's LLC and paging-driver counters together, so a measurement
@@ -192,6 +268,14 @@ func resetCounters(plat *sgx.Platform, th *sgx.Thread, heap *suvm.Heap) {
 	plat.Driver.ResetStats()
 	if heap != nil {
 		heap.ResetStats()
+	}
+}
+
+// must panics on a set-up or workload error: every experiment's inputs
+// are fixed, so one can only come from a bug.
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
 }
 

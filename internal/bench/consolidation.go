@@ -223,7 +223,6 @@ func consCrossCallCycles(calls int) (*report.Table, error) {
 }
 
 func runConsolidation(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	sep, err := consSeparate(rc)
 	if err != nil {
 		return nil, err

@@ -158,7 +158,6 @@ func runFleetArm(rc RunConfig, adaptive bool) (fleetOutcome, error) {
 }
 
 func runFleet(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	static, err := runFleetArm(rc, false)
 	if err != nil {
 		return nil, err

@@ -33,7 +33,6 @@ const (
 //     the other stream's compute — the paper's batching idea applied to
 //     the request loop.
 func runIOEngine(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	ops := rc.Ops
 
 	t := report.New("GET loop throughput by submission shape (2 RPC workers, single serving thread)",

@@ -21,37 +21,47 @@ func init() {
 	register("fig6c", "RPC eliminates TLB flushes (in-enclave time, chaining table)", fig6c)
 }
 
-// runPServer drives ops requests of nkeys random updates against a
-// freshly built server whose socket dispatches in mode, and returns
-// (endToEndCycles, inEnclaveCycles).
-func runPServer(v *env, mode exitio.Mode, cfg pserver.Config, ops, nkeys int, hot uint64, warm int) (uint64, uint64) {
-	eng, err := exitio.NewEngine(mode, v.pool)
-	if err != nil {
-		panic(err)
-	}
-	cfg.Heap = v.heap
-	cfg.Engine = eng
-	cfg.Encrypted = true
-	srv, err := pserver.New(v.plat, v.th, cfg)
-	if err != nil {
-		panic(err)
-	}
+// psArm is one parameter-server configuration: where the table lives,
+// how its socket dispatches, the EPC++ size (0 = no SUVM heap) and
+// whether the RPC workers get their CAT partition (see armEnv).
+type psArm struct {
+	placement pserver.Placement
+	mode      exitio.Mode
+	epcpp     uint64
+	cat       bool
+}
+
+var (
+	psHost   = psArm{pserver.PlaceHost, exitio.ModeDirect, 0, false}
+	psOCall  = psArm{pserver.PlaceEnclave, exitio.ModeOCall, 0, false}
+	psRPC    = psArm{pserver.PlaceEnclave, exitio.ModeRPCSync, 0, false}
+	psRPCCAT = psArm{pserver.PlaceEnclave, exitio.ModeRPCSync, 0, true}
+	psEleos  = psArm{pserver.PlaceSUVM, exitio.ModeRPCSync, 60 << 20, true}
+)
+
+// run builds the arm's server over size bytes of encrypted parameters
+// in layout, serves ops/10 warm-up requests and then ops measured ones,
+// each updating nkeys random keys (drawn from the first hot keys when
+// hot > 0), and returns the measured end-to-end and in-enclave cycles.
+func (a psArm) run(size uint64, layout kv.Layout, ops, nkeys int, hot uint64) (end, inEncl uint64) {
+	v, eng := armEnv(a.placement == pserver.PlaceHost, a.epcpp, a.mode, a.cat)
+	defer v.close()
+	srv, err := pserver.New(v.plat, v.th, pserver.Config{
+		DataBytes: size, Layout: layout, Placement: a.placement,
+		Heap: v.heap, Engine: eng, Encrypted: true,
+	})
+	must(err)
 	defer srv.Close()
 	gen := loadgen.NewKeyGen(1, srv.Entries())
 	if hot > 0 {
 		gen.HotSet(hot)
 	}
 	keys := make([]uint64, nkeys)
-	for i := 0; i < warm; i++ {
-		if err := srv.ServeRequest(v.th, gen.Batch(keys)); err != nil {
-			panic(err)
+	for i := 0; i < ops/10+ops; i++ {
+		if i == ops/10 {
+			resetCounters(v.plat, v.th, v.heap)
 		}
-	}
-	resetCounters(v.plat, v.th, v.heap)
-	for i := 0; i < ops; i++ {
-		if err := srv.ServeRequest(v.th, gen.Batch(keys)); err != nil {
-			panic(err)
-		}
+		must(srv.ServeRequest(v.th, gen.Batch(keys)))
 	}
 	return v.th.T.Cycles(), v.th.SyncEnclaveCycles()
 }
@@ -60,7 +70,6 @@ func runPServer(v *env, mode exitio.Mode, cfg pserver.Config, ops, nkeys int, ho
 // vs vanilla SGX vs Eleos (RPC + SUVM + CAT). 100k random single-value
 // updates. Paper: 9x/12x/34x slowdown for SGX; Eleos recovers most.
 func fig1(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	sizes := []uint64{2 << 20, 64 << 20, 512 << 20}
 	if rc.Quick {
 		sizes = []uint64{2 << 20, 32 << 20, 192 << 20}
@@ -71,28 +80,9 @@ func fig1(rc RunConfig) (*Result, error) {
 
 	for _, size := range sizes {
 		ops := rc.Ops
-		warm := ops / 10
-
-		hv := hostEnv()
-		hostCyc, _ := runPServer(hv, exitio.ModeDirect, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceHost,
-		}, ops, 1, 0, warm)
-
-		sv := enclaveEnv(0)
-		sgxCyc, _ := runPServer(sv, exitio.ModeOCall, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave,
-		}, ops, 1, 0, warm)
-
-		ev := enclaveEnv(60 << 20).withPool(2)
-		ev.plat.LLC.EnablePartitioning(4)
-		eleosCyc, _ := runPServer(ev, exitio.ModeRPCSync, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceSUVM,
-		}, ops, 1, 0, warm)
-		ev.close()
-
+		hostCyc, _ := psHost.run(size, kv.OpenAddressing, ops, 1, 0)
+		sgxCyc, _ := psOCall.run(size, kv.OpenAddressing, ops, 1, 0)
+		eleosCyc, _ := psEleos.run(size, kv.OpenAddressing, ops, 1, 0)
 		t.AddRow(report.Bytes(size),
 			perOp(hostCyc, ops), perOp(sgxCyc, ops), report.Ratio(float64(sgxCyc), float64(hostCyc)),
 			perOp(eleosCyc, ops), report.Ratio(float64(eleosCyc), float64(hostCyc)))
@@ -104,7 +94,6 @@ func fig1(rc RunConfig) (*Result, error) {
 // LLC, in EPC vs untrusted memory; the ratio of cycles per access is
 // the MEE amplification. Paper: READ 5.6x, WRITE 6.8-8.9x, R+W 7.4-9.5x.
 func tab1(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	const bufSize = 64 << 20
 	v := enclaveEnv(0)
 	enclBuf := v.encl.Alloc(bufSize)
@@ -171,7 +160,6 @@ func tab1(rc RunConfig) (*Result, error) {
 // growing request sizes pollute more cache per syscall, inflating the
 // in-enclave time relative to the untrusted run. Paper: up to 2.2x.
 func fig2a(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	size := uint64(64 << 20)
 	// The paper restricts requests to an LLC-sized 8MB hot set. Our LLC
 	// model uses strict LRU (hardware uses adaptive pseudo-LRU), under
@@ -186,19 +174,9 @@ func fig2a(rc RunConfig) (*Result, error) {
 		"keys/req", "untrusted cyc/req", "enclave cyc/req (in-encl)", "slowdown")
 	t.Note = "paper: grows to ~2.2x at 64 keys/request"
 	for _, nk := range []int{1, 4, 8, 16, 32, 64} {
-		ops := rc.Ops / maxInt(1, nk/8)
-		hv := hostEnv()
-		hostCyc, _ := runPServer(hv, exitio.ModeDirect, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceHost,
-		}, ops, nk, hot, ops/10)
-
-		sv := enclaveEnv(0)
-		_, inEncl := runPServer(sv, exitio.ModeOCall, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave,
-		}, ops, nk, hot, ops/10)
-
+		ops := rc.Ops / max(1, nk/8)
+		hostCyc, _ := psHost.run(size, kv.OpenAddressing, ops, nk, hot)
+		_, inEncl := psOCall.run(size, kv.OpenAddressing, ops, nk, hot)
 		t.AddRow(nk, perOp(hostCyc, ops), perOp(inEncl, ops),
 			report.Ratio(float64(inEncl), float64(hostCyc)))
 	}
@@ -210,24 +188,16 @@ func fig2a(rc RunConfig) (*Result, error) {
 // in-enclave time grows with lookups per request while open addressing
 // stays flat. Measured in-enclave, like the paper.
 func fig2b(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	const size = 2 << 20
 	t := report.New("Fig 2b: TLB flush cost (in-enclave cycles/request)",
 		"keys/req", "open-addressing", "chaining", "chaining/open")
 	t.Note = "paper: chaining slowdown grows with items accessed; open addressing insensitive"
 	for _, nk := range []int{1, 2, 4, 8, 16, 32} {
-		ops := rc.Ops / maxInt(1, nk/4)
-		var inEncl [2]uint64
-		for i, layout := range []kv.Layout{kv.OpenAddressing, kv.Chaining} {
-			sv := enclaveEnv(0)
-			_, ie := runPServer(sv, exitio.ModeOCall, pserver.Config{
-				DataBytes: size, Layout: layout,
-				Placement: pserver.PlaceEnclave,
-			}, ops, nk, 0, ops/10)
-			inEncl[i] = ie
-		}
-		t.AddRow(nk, perOp(inEncl[0], ops), perOp(inEncl[1], ops),
-			report.Ratio(float64(inEncl[1]), float64(inEncl[0])))
+		ops := rc.Ops / max(1, nk/4)
+		_, open := psOCall.run(size, kv.OpenAddressing, ops, nk, 0)
+		_, chain := psOCall.run(size, kv.Chaining, ops, nk, 0)
+		t.AddRow(nk, perOp(open, ops), perOp(chain, ops),
+			report.Ratio(float64(chain), float64(open)))
 	}
 	return &Result{ID: "fig2b", Title: "TLB flush cost", Tables: []*report.Table{t}}, nil
 }
@@ -236,32 +206,15 @@ func fig2b(rc RunConfig) (*Result, error) {
 // RPC, as the per-request batch grows. Paper: RPC 6x better at 1
 // update, converging by 64.
 func fig6a(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	const size = 2 << 20
 	t := report.New("Fig 6a: exit-less syscalls remove direct exit costs (slowdown vs untrusted)",
 		"keys/req", "sgx+ocall", "eleos rpc", "rpc gain")
 	t.Note = "paper: RPC ~6x better at small requests, on par at 64-update batches"
 	for _, nk := range []int{1, 2, 4, 8, 16, 32, 64} {
-		ops := rc.Ops / maxInt(1, nk/8)
-		hv := hostEnv()
-		hostCyc, _ := runPServer(hv, exitio.ModeDirect, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceHost,
-		}, ops, nk, 0, ops/10)
-
-		ov := enclaveEnv(0)
-		ocallCyc, _ := runPServer(ov, exitio.ModeOCall, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave,
-		}, ops, nk, 0, ops/10)
-
-		rv := enclaveEnv(0).withPool(2)
-		rpcCyc, _ := runPServer(rv, exitio.ModeRPCSync, pserver.Config{
-			DataBytes: size, Layout: kv.OpenAddressing,
-			Placement: pserver.PlaceEnclave,
-		}, ops, nk, 0, ops/10)
-		rv.close()
-
+		ops := rc.Ops / max(1, nk/8)
+		hostCyc, _ := psHost.run(size, kv.OpenAddressing, ops, nk, 0)
+		ocallCyc, _ := psOCall.run(size, kv.OpenAddressing, ops, nk, 0)
+		rpcCyc, _ := psRPC.run(size, kv.OpenAddressing, ops, nk, 0)
 		t.AddRow(nk,
 			report.Ratio(float64(ocallCyc), float64(hostCyc)),
 			report.Ratio(float64(rpcCyc), float64(hostCyc)),
@@ -274,7 +227,6 @@ func fig6a(rc RunConfig) (*Result, error) {
 // 25%/75% CAT way split. Paper: over 25% in-enclave improvement for
 // larger I/O buffers.
 func fig6b(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	size := uint64(64 << 20)
 	hot := uint64((6 << 20) / 16) // see fig2a on the hot-set size
 	if rc.Quick {
@@ -284,22 +236,11 @@ func fig6b(rc RunConfig) (*Result, error) {
 		"keys/req", "rpc no-CAT", "rpc with CAT", "improvement")
 	t.Note = "paper: CAT saves up to 25%+ of in-enclave time for larger buffers"
 	for _, nk := range []int{1, 4, 8, 16, 32, 64} {
-		ops := rc.Ops / maxInt(1, nk/8)
-		var inEncl [2]uint64
-		for i, cat := range []bool{false, true} {
-			rv := enclaveEnv(0).withPool(2)
-			if cat {
-				rv.plat.LLC.EnablePartitioning(4)
-			}
-			_, ie := runPServer(rv, exitio.ModeRPCSync, pserver.Config{
-				DataBytes: size, Layout: kv.OpenAddressing,
-				Placement: pserver.PlaceEnclave,
-			}, ops, nk, hot, ops/10)
-			rv.close()
-			inEncl[i] = ie
-		}
-		t.AddRow(nk, perOp(inEncl[0], ops), perOp(inEncl[1], ops),
-			report.Ratio(float64(inEncl[0]), float64(inEncl[1])))
+		ops := rc.Ops / max(1, nk/8)
+		_, noCAT := psRPC.run(size, kv.OpenAddressing, ops, nk, hot)
+		_, withCAT := psRPCCAT.run(size, kv.OpenAddressing, ops, nk, hot)
+		t.AddRow(nk, perOp(noCAT, ops), perOp(withCAT, ops),
+			report.Ratio(float64(noCAT), float64(withCAT)))
 	}
 	return &Result{ID: "fig6b", Title: "CAT partitioning benefit", Tables: []*report.Table{t}}, nil
 }
@@ -307,35 +248,16 @@ func fig6b(rc RunConfig) (*Result, error) {
 // fig6c: the fig2b chaining configuration, OCALL vs RPC: with no exits
 // the TLB survives across requests. Paper: up to 5.5x faster in-enclave.
 func fig6c(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	const size = 2 << 20
 	t := report.New("Fig 6c: exit-less syscalls eliminate TLB flushes (in-enclave cycles/request)",
 		"keys/req", "ocall", "rpc", "rpc gain")
 	t.Note = "paper: up to 5.5x faster with RPC on the chaining table"
 	for _, nk := range []int{1, 2, 4, 8, 16, 32} {
-		ops := rc.Ops / maxInt(1, nk/4)
-		var inEncl [2]uint64
-		for i, mode := range []exitio.Mode{exitio.ModeOCall, exitio.ModeRPCSync} {
-			v := enclaveEnv(0)
-			if mode == exitio.ModeRPCSync {
-				v.withPool(2)
-			}
-			_, ie := runPServer(v, mode, pserver.Config{
-				DataBytes: size, Layout: kv.Chaining,
-				Placement: pserver.PlaceEnclave,
-			}, ops, nk, 0, ops/10)
-			v.close()
-			inEncl[i] = ie
-		}
-		t.AddRow(nk, perOp(inEncl[0], ops), perOp(inEncl[1], ops),
-			report.Ratio(float64(inEncl[0]), float64(inEncl[1])))
+		ops := rc.Ops / max(1, nk/4)
+		_, ocall := psOCall.run(size, kv.Chaining, ops, nk, 0)
+		_, rpc := psRPC.run(size, kv.Chaining, ops, nk, 0)
+		t.AddRow(nk, perOp(ocall, ops), perOp(rpc, ops),
+			report.Ratio(float64(ocall), float64(rpc)))
 	}
 	return &Result{ID: "fig6c", Title: "TLB flush elimination", Tables: []*report.Table{t}}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

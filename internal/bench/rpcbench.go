@@ -25,7 +25,6 @@ const (
 // Pool.Stats shows how far the pipelined and batched submissions run
 // ahead of the workers.
 func runRPCAsync(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	ops := rc.Ops
 
 	t1 := report.New("Caller throughput by submission mode (Kops/s, single caller)",

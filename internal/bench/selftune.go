@@ -90,7 +90,6 @@ func stServe(pool *rpc.Pool, th *sgx.Thread, reqs int, pump func(), phases []sel
 // static configuration at every phase, and its mean worker count
 // follows the load instead of peak-provisioning through the night.
 func runSelfTune(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	reqs := rc.Ops / 25
 	if reqs < 1500 {
 		reqs = 1500

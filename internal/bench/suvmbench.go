@@ -22,67 +22,27 @@ func init() {
 	register("pflat", "Software vs hardware page-fault latency", pflat)
 }
 
-// sgxPagingRun performs ops random 4K accesses over an enclave-heap
-// buffer of bufSize on each of threads threads (disjoint key streams,
-// shared buffer), returning max per-thread cycles.
-func sgxPagingRun(v *env, bufSize uint64, ops, threads int, write bool) uint64 {
-	base := v.encl.Alloc(bufSize)
-	pages := int(bufSize / phys.PageSize)
-	// Warm: materialize every page once, then run one measurement-shaped
-	// pass so the paging system reaches steady state (otherwise the
-	// measured window pays the write-backs of load-phase-dirty pages).
-	buf := make([]byte, phys.PageSize)
-	for pg := 0; pg < pages; pg++ {
-		v.th.Write(base+uint64(pg)*phys.PageSize, buf)
-	}
-	warmRng := rand.New(rand.NewSource(99))
-	for n := 0; n < ops; n++ {
-		off := uint64(warmRng.Intn(pages)) * phys.PageSize
-		if write {
-			v.th.Write(base+off, buf)
-		} else {
-			v.th.Read(base+off, buf)
-		}
-	}
-	resetCounters(v.plat, v.th, v.heap)
+// pageAccess reads or writes page pg of a paging workload's buffer on
+// th through b, one page long.
+type pageAccess func(th *sgx.Thread, pg int, write bool, b []byte) error
 
-	ths := []*sgx.Thread{v.th}
-	for i := 1; i < threads; i++ {
-		t := v.encl.NewThread()
-		t.Enter()
-		ths = append(ths, t)
-	}
-	var wg sync.WaitGroup
-	for i, th := range ths {
-		wg.Add(1)
-		go func(i int, th *sgx.Thread) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + i)))
-			b := make([]byte, phys.PageSize)
-			for n := 0; n < ops/threads; n++ {
-				off := uint64(rng.Intn(pages)) * phys.PageSize
-				if write {
-					th.Write(base+off, b)
-				} else {
-					th.Read(base+off, b)
-				}
-			}
-		}(i, th)
-	}
-	wg.Wait()
-	var max uint64
-	for _, th := range ths {
-		if c := th.T.Cycles(); c > max {
-			max = c
+// enclavePages allocates a pages-page buffer on v's enclave heap, paged
+// by SGX hardware.
+func enclavePages(v *env, pages int) pageAccess {
+	base := v.encl.Alloc(uint64(pages) * phys.PageSize)
+	return func(th *sgx.Thread, pg int, write bool, b []byte) error {
+		if write {
+			th.Write(base+uint64(pg)*phys.PageSize, b)
+		} else {
+			th.Read(base+uint64(pg)*phys.PageSize, b)
 		}
+		return nil
 	}
-	return max
 }
 
-// suvmPagingRun does the same over an array of per-page SUVM buffers
-// (the paper's array-of-spointers workload).
-func suvmPagingRun(v *env, bufSize uint64, ops, threads int, write bool) uint64 {
-	pages := int(bufSize / phys.PageSize)
+// suvmPages allocates one SUVM buffer per page on v's heap (the paper's
+// array-of-spointers workload).
+func suvmPages(v *env, pages int) pageAccess {
 	ptrs := make([]*suvm.SPtr, pages)
 	for i := range ptrs {
 		p, err := v.heap.Malloc(phys.PageSize)
@@ -91,59 +51,42 @@ func suvmPagingRun(v *env, bufSize uint64, ops, threads int, write bool) uint64 
 		}
 		ptrs[i] = p
 	}
-	buf := make([]byte, phys.PageSize)
-	for _, p := range ptrs {
-		if err := p.WriteAt(v.th, 0, buf); err != nil {
-			panic(err)
+	return func(th *sgx.Thread, pg int, write bool, b []byte) error {
+		if write {
+			return ptrs[pg].WriteAt(th, 0, b)
 		}
+		return ptrs[pg].ReadAt(th, 0, b)
 	}
-	// Steady-state pass (see sgxPagingRun).
+}
+
+// pagingRun writes every one of pages pages once through access, then
+// runs one measurement-shaped pass of ops random accesses so the paging
+// system reaches steady state (otherwise the measured window pays the
+// write-backs of load-phase-dirty pages), resets the counters, and
+// performs ops random accesses split over threads threads (disjoint key
+// streams, shared buffer). It returns the largest thread clock.
+func pagingRun(v *env, pages, ops, threads int, write bool, access pageAccess) uint64 {
+	buf := make([]byte, phys.PageSize)
+	for pg := 0; pg < pages; pg++ {
+		must(access(v.th, pg, true, buf))
+	}
 	warmRng := rand.New(rand.NewSource(99))
 	for n := 0; n < ops; n++ {
-		p := ptrs[warmRng.Intn(pages)]
-		if write {
-			_ = p.WriteAt(v.th, 0, buf)
-		} else {
-			_ = p.ReadAt(v.th, 0, buf)
-		}
+		must(access(v.th, warmRng.Intn(pages), write, buf))
 	}
 	resetCounters(v.plat, v.th, v.heap)
-
-	ths := []*sgx.Thread{v.th}
-	for i := 1; i < threads; i++ {
-		t := v.encl.NewThread()
-		t.Enter()
-		ths = append(ths, t)
-	}
-	var wg sync.WaitGroup
-	for i, th := range ths {
-		wg.Add(1)
-		go func(i int, th *sgx.Thread) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + i)))
-			b := make([]byte, phys.PageSize)
-			for n := 0; n < ops/threads; n++ {
-				p := ptrs[rng.Intn(pages)]
-				var err error
-				if write {
-					err = p.WriteAt(th, 0, b)
-				} else {
-					err = p.ReadAt(th, 0, b)
-				}
-				if err != nil {
-					panic(err)
-				}
+	last, err := runThreads(v.threads(nil, threads), func(i int, th *sgx.Thread) error {
+		rng := rand.New(rand.NewSource(int64(100 + i)))
+		b := make([]byte, phys.PageSize)
+		for n := 0; n < ops/threads; n++ {
+			if err := access(th, rng.Intn(pages), write, b); err != nil {
+				return err
 			}
-		}(i, th)
-	}
-	wg.Wait()
-	var max uint64
-	for _, th := range ths {
-		if c := th.T.Cycles(); c > max {
-			max = c
 		}
-	}
-	return max
+		return nil
+	})
+	must(err)
+	return last
 }
 
 func fig7sizes(quick bool) []uint64 {
@@ -154,7 +97,6 @@ func fig7sizes(quick bool) []uint64 {
 }
 
 func fig7(rc RunConfig, threads int) *report.Table {
-	rc = rc.Normalize()
 	t := report.New(fmt.Sprintf("Fig 7%s: SUVM speedup over SGX paging (%d thread(s), EPC++ 60MB)",
 		map[int]string{1: "a", 4: "b"}[threads], threads),
 		"buffer", "mode", "sgx cyc/op", "suvm cyc/op", "speedup", "hw faults sgx", "hw faults suvm")
@@ -166,12 +108,13 @@ func fig7(rc RunConfig, threads int) *report.Table {
 			if write {
 				mode = "write"
 			}
+			pages := int(size / phys.PageSize)
 			sv := enclaveEnv(0)
-			sgxCyc := sgxPagingRun(sv, size, ops, threads, write)
+			sgxCyc := pagingRun(sv, pages, ops, threads, write, enclavePages(sv, pages))
 			sgxFaults := sv.plat.Driver.Stats().Faults
 
 			uv := enclaveEnv(60 << 20)
-			suvmCyc := suvmPagingRun(uv, size, ops, threads, write)
+			suvmCyc := pagingRun(uv, pages, ops, threads, write, suvmPages(uv, pages))
 			suvmHW := uv.plat.Driver.Stats().Faults
 
 			t.AddRow(report.Bytes(size), mode,
@@ -193,22 +136,18 @@ func fig7b(rc RunConfig) (*Result, error) {
 
 // tab2: IPI and fault counts for the 200MB random-read workload.
 func tab2(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
-	size := uint64(200 << 20)
-	if rc.Quick {
-		size = 200 << 20 // the table is about counts; keep the paper's size
-	}
+	const pages = (200 << 20) / phys.PageSize // the paper's size at any scale: the table is about counts
 	t := report.New("Table 2: IPIs and page faults for 100k random 4K reads from 200MB",
 		"threads", "IPIs sgx", "IPIs suvm", "faults sgx (hw)", "faults suvm (sw)", "speedup")
 	t.Note = "paper 1T: 50.2k IPIs, 116k faults, 4.5x; 4T: 77.9k IPIs, 115k faults, 5.5x"
 	for _, threads := range []int{1, 4} {
 		ops := rc.Ops
 		sv := enclaveEnv(0)
-		sgxCyc := sgxPagingRun(sv, size, ops, threads, false)
+		sgxCyc := pagingRun(sv, pages, ops, threads, false, enclavePages(sv, pages))
 		sgxStats := sv.plat.Driver.Stats()
 
 		uv := enclaveEnv(60 << 20)
-		suvmCyc := suvmPagingRun(uv, size, ops, threads, false)
+		suvmCyc := pagingRun(uv, pages, ops, threads, false, suvmPages(uv, pages))
 		suvmIPIs := uv.plat.Driver.Stats().IPIs
 		suvmSW := uv.heap.Stats().MajorFaults
 
@@ -227,7 +166,6 @@ func tab2(rc RunConfig) (*Result, error) {
 // the only SUVM costs are link checks and per-page-crossing minor
 // faults.
 func fig8run(rc RunConfig, arrayBytes uint64, title, note string) *report.Table {
-	rc = rc.Normalize()
 	t := report.New(title, "access bytes", "mode", "native cyc/op", "spointer cyc/op", "slowdown")
 	t.Note = note
 
@@ -254,70 +192,67 @@ func fig8run(rc RunConfig, arrayBytes uint64, title, note string) *report.Table 
 				mode = "write"
 			}
 			ops := rc.Ops
-			b := make([]byte, elem)
-
-			// Native sequential walk. One warm lap first: this is the
-			// "data in cache" configuration.
-			warmLap := func() {
-				w := make([]byte, phys.PageSize)
-				for off := uint64(0); off+phys.PageSize <= arrayBytes; off += phys.PageSize {
-					nv.th.Read(native+off, w)
-				}
-			}
-			warmLap()
-			nv.th.T.Reset()
-			off := uint64(0)
-			for i := 0; i < ops; i++ {
-				if off+uint64(elem) > arrayBytes {
-					off = 0
-				}
-				if write {
-					nv.th.Write(native+off, b)
-				} else {
-					nv.th.Read(native+off, b)
-				}
-				off += uint64(elem)
-			}
-			natCyc := nv.th.T.Cycles()
-
-			// Spointer sequential walk (linked fast path + minor fault
-			// per page crossing), warmed the same way.
-			w := make([]byte, phys.PageSize)
-			for off := uint64(0); off+phys.PageSize <= arrayBytes; off += phys.PageSize {
-				if err := p.ReadAt(v.th, off, w); err != nil {
-					panic(err)
-				}
-			}
-			if err := p.Seek(v.th, 0); err != nil {
-				panic(err)
-			}
-			v.th.T.Reset()
-			for i := 0; i < ops; i++ {
-				if p.Offset()+uint64(elem) > arrayBytes {
-					if err := p.Seek(v.th, 0); err != nil {
-						panic(err)
+			natCyc := seqWalk(nv.th, arrayBytes, elem, ops,
+				func(off uint64, w []byte) { nv.th.Read(native+off, w) }, nil,
+				func(off uint64, b []byte) {
+					if write {
+						nv.th.Write(native+off, b)
+					} else {
+						nv.th.Read(native+off, b)
 					}
-				}
-				var err error
-				if write {
-					err = p.Write(v.th, b)
-				} else {
-					err = p.Read(v.th, b)
-				}
-				if err != nil {
-					panic(err)
-				}
-				if err := p.Advance(v.th, int64(elem)); err != nil {
-					panic(err)
-				}
-			}
-			spCyc := v.th.T.Cycles()
-
+				})
+			spCyc := linkedWalk(v.th, p, arrayBytes, elem, ops, write)
 			t.AddRow(elem, mode, perOp(natCyc, ops), perOp(spCyc, ops),
 				report.Ratio(float64(spCyc), float64(natCyc)))
 		}
 	}
 	return t
+}
+
+// seqWalk times a sequential walk over a size-byte region on th. One
+// warm lap reads every page through lap (the "data in cache"
+// configuration); then rewind runs, when given, and th's clock is
+// reset. step then makes ops elem-byte accesses at rising offsets,
+// wrapping to the start before one that would run past size. It
+// returns th's cycles for the walk.
+func seqWalk(th *sgx.Thread, size uint64, elem, ops int, lap func(off uint64, w []byte), rewind func(), step func(off uint64, b []byte)) uint64 {
+	w := make([]byte, phys.PageSize)
+	for off := uint64(0); off+phys.PageSize <= size; off += phys.PageSize {
+		lap(off, w)
+	}
+	if rewind != nil {
+		rewind()
+	}
+	th.T.Reset()
+	b := make([]byte, elem)
+	off := uint64(0)
+	for i := 0; i < ops; i++ {
+		if off+uint64(elem) > size {
+			off = 0
+		}
+		step(off, b)
+		off += uint64(elem)
+	}
+	return th.T.Cycles()
+}
+
+// linkedWalk is seqWalk through p's own cursor: the linked fast path,
+// with a minor fault per page crossing.
+func linkedWalk(th *sgx.Thread, p *suvm.SPtr, size uint64, elem, ops int, write bool) uint64 {
+	return seqWalk(th, size, elem, ops,
+		func(off uint64, w []byte) { must(p.ReadAt(th, off, w)) },
+		func() { must(p.Seek(th, 0)) },
+		func(off uint64, b []byte) {
+			if p.Offset() != off { // the walk wrapped
+				must(p.Seek(th, off))
+			}
+			if write {
+				must(p.Write(th, b))
+			} else {
+				must(p.Read(th, b))
+			}
+			must(p.Advance(th, int64(len(b))))
+		})
 }
 
 func fig8a(rc RunConfig) (*Result, error) {
@@ -337,7 +272,6 @@ func fig8b(rc RunConfig) (*Result, error) {
 // tab3: random reads at sub-page granularity: direct backing-store
 // access vs EPC++ caching, on a working set far beyond EPC++.
 func tab3(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	size := uint64(256 << 20)
 	if rc.Quick {
 		size = 128 << 20
@@ -396,7 +330,6 @@ func tab3(rc RunConfig) (*Result, error) {
 // paging systems at once; and the same wrong size rescued by the Eleos
 // balloon, which queries the driver and deflates EPC++ to fit.
 func fig9(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Fig 9: two concurrent enclaves, throughput of 4K random reads",
 		"array/enclave", "config", "ops/s total", "vs correct EPC++", "hw faults", "sw faults")
 	t.Note = "paper: wrong 50MB EPC++ up to 3.4x slower than correct 30MB"
@@ -519,48 +452,37 @@ func fig9(rc RunConfig) (*Result, error) {
 
 // pflat: per-fault latencies, directly comparable to §2.3 and §6.1.2.
 func pflat(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	t := report.New("Page-fault latency: SGX hardware vs SUVM software",
 		"system", "workload", "cycles/fault")
 	t.Note = "paper: SGX ~40k total; SUVM ~8.5k page-in (reads), ~14k evict+page-in (writes)"
 
 	// SGX: sustained random 4K reads over 200MB.
-	sv := enclaveEnv(0)
-	size := uint64(200 << 20)
+	const pages, noFaultPages = (200 << 20) / phys.PageSize, (60 << 20) / phys.PageSize
 	ops := rc.Ops / 2
-	sgxCyc := sgxPagingRun(sv, size, ops, 1, false)
+	sv := enclaveEnv(0)
+	sgxCyc := pagingRun(sv, pages, ops, 1, false, enclavePages(sv, pages))
 	sgxF := sv.plat.Driver.Stats().Faults
 	noFault := enclaveEnv(0)
-	base := perOp(sgxPagingRun(noFault, 60<<20, ops, 1, false), ops)
+	base := perOp(pagingRun(noFault, noFaultPages, ops, 1, false, enclavePages(noFault, noFaultPages)), ops)
 	perFault := (float64(sgxCyc) - base*float64(ops)) / float64(sgxF)
 	t.AddRow("sgx", "4K random reads, 200MB", perFault)
 
 	// SUVM: steady-state fault handling cost from the heap's counters.
 	for _, write := range []bool{false, true} {
-		uv := enclaveEnv(4 << 20)
-		p, err := uv.heap.Malloc(32 << 20)
-		if err != nil {
-			panic(err)
-		}
-		buf := make([]byte, phys.PageSize)
-		for off := uint64(0); off+phys.PageSize <= p.Size(); off += phys.PageSize {
-			_ = p.WriteAt(uv.th, off, buf)
-		}
+		const size = 32 << 20
 		rng := rand.New(rand.NewSource(4))
-		run := func() {
-			for i := 0; i < ops; i++ {
-				off := uint64(rng.Intn(int(p.Size()/phys.PageSize))) * phys.PageSize
-				if write {
-					_ = p.WriteAt(uv.th, off, buf)
-				} else {
-					_ = p.ReadAt(uv.th, off, buf)
+		buf := make([]byte, phys.PageSize)
+		_, st := steadyState(suvm.Config{PageCacheBytes: 4 << 20, BackingBytes: 8 << 30}, size, phys.PageSize,
+			func(th *sgx.Thread, p *suvm.SPtr) {
+				for i := 0; i < ops; i++ {
+					off := uint64(rng.Intn(size/phys.PageSize)) * phys.PageSize
+					if write {
+						_ = p.WriteAt(th, off, buf)
+					} else {
+						_ = p.ReadAt(th, off, buf)
+					}
 				}
-			}
-		}
-		run()
-		uv.heap.ResetStats()
-		run()
-		st := uv.heap.Stats()
+			})
 		mode := "page-in (reads)"
 		if write {
 			mode = "evict+page-in (writes)"

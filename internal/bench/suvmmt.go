@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math/rand"
-	"sync"
 
 	"eleos/internal/report"
 	"eleos/internal/sgx"
@@ -22,7 +21,6 @@ func init() {
 // the losers coalesce onto the winner's frame and are charged queueing
 // delay in virtual time, visible in the coalesced and wait columns.
 func suvmMT(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	const (
 		epcpp    = 1 << 20 // 256 frames
 		wsPages  = 1024    // 4 MiB working set = 4x EPC++
@@ -44,53 +42,35 @@ func suvmMT(rc RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			zero := make([]byte, pageSize)
-			for pg := 0; pg < wsPages; pg++ {
-				if err := p.WriteAt(v.th, uint64(pg)*pageSize, zero); err != nil {
-					return nil, err
-				}
-			}
+			fill(v.th, p, wsPages*pageSize, pageSize)
 			resetCounters(v.plat, v.th, v.heap)
 
-			ths := []*sgx.Thread{v.th}
-			for i := 1; i < threads; i++ {
-				th := v.encl.NewThread()
-				th.Enter()
-				ths = append(ths, th)
-			}
-			var wg sync.WaitGroup
-			for i, th := range ths {
-				wg.Add(1)
-				go func(i int, th *sgx.Thread) {
-					defer wg.Done()
-					// Disjoint: private page range, private stream.
-					// Contended: full range, shared stream (same seed).
-					seed, lo, span := int64(7), 0, wsPages
-					if variant == "disjoint" {
-						span = wsPages / threads
-						lo = i * span
-						seed = int64(200 + i)
-					}
-					rng := rand.New(rand.NewSource(seed))
-					var buf [64]byte
-					for n := 0; n < opsPerThread; n++ {
-						pg := lo + rng.Intn(span)
-						if err := p.ReadAt(th, uint64(pg)*pageSize, buf[:]); err != nil {
-							panic(err)
-						}
-					}
-				}(i, th)
-			}
-			wg.Wait()
-			var max uint64
-			for _, th := range ths {
-				if c := th.T.Cycles(); c > max {
-					max = c
+			ths := v.threads(nil, threads)
+			last, err := runThreads(ths, func(i int, th *sgx.Thread) error {
+				// Disjoint: private page range, private stream.
+				// Contended: full range, shared stream (same seed).
+				seed, lo, span := int64(7), 0, wsPages
+				if variant == "disjoint" {
+					span = wsPages / threads
+					lo = i * span
+					seed = int64(200 + i)
 				}
+				rng := rand.New(rand.NewSource(seed))
+				var buf [64]byte
+				for n := 0; n < opsPerThread; n++ {
+					pg := lo + rng.Intn(span)
+					if err := p.ReadAt(th, uint64(pg)*pageSize, buf[:]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			st := v.heap.Stats()
 			totalOps := threads * opsPerThread
-			tput := float64(totalOps) / v.plat.Model.Seconds(max)
+			tput := float64(totalOps) / v.plat.Model.Seconds(last)
 			if threads == 1 {
 				baseline = tput
 			}
@@ -99,7 +79,7 @@ func suvmMT(rc RunConfig) (*Result, error) {
 				scanLen = float64(st.EvictScanFrames) / float64(st.EvictScans)
 			}
 			t.AddRow(variant, threads, tput, report.Ratio(tput, baseline),
-				perOp(max, opsPerThread), st.FaultsCoalesced,
+				perOp(last, opsPerThread), st.FaultsCoalesced,
 				float64(st.FaultWaitCycles)/1e3, scanLen)
 
 			// Tear the iteration's enclave down (after the cycle counts

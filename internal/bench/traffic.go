@@ -131,7 +131,6 @@ func meanSD(xs []float64) (mean, sd float64) {
 }
 
 func runTraffic(rc RunConfig) (*Result, error) {
-	rc = rc.Normalize()
 	n := rc.Ops / 10
 	if n < 500 {
 		n = 500
