@@ -43,8 +43,8 @@ GATE_BASELINE = testdata/bench-gate
 
 # The controller experiments, the consolidation experiment, the RPC
 # submission-mode experiment and the I/O engine experiment print only
-# virtual-cycle figures, decision counts and queue depths, so they
-# regenerate byte-identical on unchanged code: the gate compares them
+# virtual-cycle figures and decision counts, so they regenerate
+# byte-identical on unchanged code: the gate compares them
 # exactly. Consolidation and fleet build their servers through the
 # tenant layer on eleos.NewRuntime, so they also pin how the public
 # runtime is constructed and how every tenant request runs; rpc-async

@@ -21,28 +21,21 @@ const (
 // submission modes of the exit-less RPC engine — synchronous Call,
 // pipelined CallAsync, and CallBatch — across pool sizes, and then
 // sweeps the compute overlap available to a single async call to show
-// the residual-latency accounting at work. The peak queue depth from
-// Pool.Stats shows how far the pipelined and batched submissions run
-// ahead of the workers.
+// the residual-latency accounting at work.
 func runRPCAsync(rc RunConfig) (*Result, error) {
 	ops := rc.Ops
 
 	t1 := report.New("Caller throughput by submission mode (Kops/s, single caller)",
-		"workers", "sync", "async", "batch", "async/sync", "batch/sync", "peak depth")
-	t1.Note = "async pipelines 2 calls/worker; batch submits bursts of 16; counters from async+batch pools"
+		"workers", "sync", "async", "batch", "async/sync", "batch/sync")
+	t1.Note = "async pipelines 2 calls/worker; batch submits bursts of 16"
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		syncTput := rpcSyncRun(workers, ops)
-		asyncTput, asyncStats := rpcAsyncRun(workers, ops)
-		batchTput, batchStats := rpcBatchRun(workers, ops)
-		peak := asyncStats.PeakQueueDepth
-		if batchStats.PeakQueueDepth > peak {
-			peak = batchStats.PeakQueueDepth
-		}
+		asyncTput := rpcAsyncRun(workers, ops)
+		batchTput := rpcBatchRun(workers, ops)
 		t1.AddRow(workers,
 			syncTput/1e3, asyncTput/1e3, batchTput/1e3,
-			asyncTput/syncTput, batchTput/syncTput,
-			peak)
+			asyncTput/syncTput, batchTput/syncTput)
 	}
 
 	t2 := report.New("Async latency hiding: cycles/op vs compute overlapped with one in-flight call (4 workers)",
@@ -86,7 +79,7 @@ func rpcSyncRun(workers, ops int) float64 {
 	return float64(ops) / v.plat.Model.Seconds(v.th.T.Cycles())
 }
 
-func rpcAsyncRun(workers, ops int) (float64, rpc.Stats) {
+func rpcAsyncRun(workers, ops int) float64 {
 	v := rpcEnv(workers)
 	defer v.close()
 	window := asyncWindow * workers
@@ -105,10 +98,10 @@ func rpcAsyncRun(workers, ops int) (float64, rpc.Stats) {
 	for _, f := range pending {
 		f.Wait(v.th)
 	}
-	return float64(ops) / v.plat.Model.Seconds(v.th.T.Cycles()), v.pool.Stats()
+	return float64(ops) / v.plat.Model.Seconds(v.th.T.Cycles())
 }
 
-func rpcBatchRun(workers, ops int) (float64, rpc.Stats) {
+func rpcBatchRun(workers, ops int) float64 {
 	v := rpcEnv(workers)
 	defer v.close()
 	fns := make([]func(*sgx.HostCtx), batchSize)
@@ -122,7 +115,7 @@ func rpcBatchRun(workers, ops int) (float64, rpc.Stats) {
 		}
 		done += batchSize
 	}
-	return float64(done) / v.plat.Model.Seconds(v.th.T.Cycles()), v.pool.Stats()
+	return float64(done) / v.plat.Model.Seconds(v.th.T.Cycles())
 }
 
 // rpcOverlapRun compares one synchronous call plus `overlap` cycles of
