@@ -53,9 +53,9 @@ func suvmScan(cfg suvm.Config, bufBytes uint64, ops int, writeFrac int) float64 
 		for i := 0; i < ops; i++ {
 			off := uint64(rng.Intn(int(bufBytes/4096))) * 4096
 			if rng.Intn(100) < writeFrac {
-				_ = p.WriteAt(th, off, buf)
+				must(p.WriteAt(th, off, buf))
 			} else {
-				_ = p.ReadAt(th, off, buf)
+				must(p.ReadAt(th, off, buf))
 			}
 		}
 	})

@@ -477,9 +477,9 @@ func pflat(rc RunConfig) (*Result, error) {
 				for i := 0; i < ops; i++ {
 					off := uint64(rng.Intn(size/phys.PageSize)) * phys.PageSize
 					if write {
-						_ = p.WriteAt(th, off, buf)
+						must(p.WriteAt(th, off, buf))
 					} else {
-						_ = p.ReadAt(th, off, buf)
+						must(p.ReadAt(th, off, buf))
 					}
 				}
 			})
