@@ -1,11 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation under testing.B. Each benchmark runs the corresponding
-// experiment from internal/bench at CI scale (quick datasets) and logs
-// the resulting table; cmd/eleos-bench runs the same experiments at
+// evaluation under testing.B. BenchmarkExperiments/<id> runs the
+// experiment registered as <id> in internal/bench at CI scale (quick
+// datasets) and logs the resulting table; cmd/eleos-bench runs the same experiments at
 // paper scale. The interesting output is the logged table, not ns/op —
 // performance is virtual time, deterministic across machines.
 //
 //	go test -bench=. -benchtime=1x
+//	go test -bench=Experiments/fig7a -benchtime=1x
 //
 // This lives in the external test package: internal/bench imports the
 // public eleos API (the consolidation experiment drives Services), so
@@ -22,61 +23,21 @@ import (
 // exercising thousands of requests per configuration.
 const benchOps = 10_000
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	rc := bench.RunConfig{Ops: benchOps, Quick: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(rc)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.String())
-		}
+// BenchmarkExperiments runs every registered experiment as a
+// sub-benchmark named by its ID, e.g. BenchmarkExperiments/fig7a.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			rc := bench.RunConfig{Ops: benchOps, Quick: true}
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(rc)
+				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				if i == 0 {
+					b.Logf("\n%s", res.String())
+				}
+			}
+		})
 	}
 }
-
-// §2 motivation and Fig 1.
-
-func BenchmarkFig1ParamServerSlowdown(b *testing.B) { runExperiment(b, "fig1") }
-func BenchmarkTable1LLCMissCost(b *testing.B)       { runExperiment(b, "tab1") }
-func BenchmarkFig2aLLCPollution(b *testing.B)       { runExperiment(b, "fig2a") }
-func BenchmarkFig2bTLBFlush(b *testing.B)           { runExperiment(b, "fig2b") }
-
-// §6.1.1 exit-less RPC microbenchmarks.
-
-func BenchmarkFig6aRPCDirectCost(b *testing.B)     { runExperiment(b, "fig6a") }
-func BenchmarkFig6bCachePartitioning(b *testing.B) { runExperiment(b, "fig6b") }
-func BenchmarkFig6cTLBElimination(b *testing.B)    { runExperiment(b, "fig6c") }
-func BenchmarkIOEngine(b *testing.B)               { runExperiment(b, "io-engine") }
-
-// §6.1.2 SUVM microbenchmarks.
-
-func BenchmarkFig7aSUVMSpeedup1T(b *testing.B)       { runExperiment(b, "fig7a") }
-func BenchmarkFig7bSUVMSpeedup4T(b *testing.B)       { runExperiment(b, "fig7b") }
-func BenchmarkTable2IPIs(b *testing.B)               { runExperiment(b, "tab2") }
-func BenchmarkFig8aSpointerOverheadLLC(b *testing.B) { runExperiment(b, "fig8a") }
-func BenchmarkFig8bSpointerOverheadPRM(b *testing.B) { runExperiment(b, "fig8b") }
-func BenchmarkTable3DirectAccess(b *testing.B)       { runExperiment(b, "tab3") }
-func BenchmarkFig9Ballooning(b *testing.B)           { runExperiment(b, "fig9") }
-func BenchmarkPageFaultLatency(b *testing.B)         { runExperiment(b, "pflat") }
-
-// §6.2 end-to-end applications.
-
-func BenchmarkFig10FaceVerification(b *testing.B) { runExperiment(b, "fig10") }
-func BenchmarkFig11Memcached(b *testing.B)        { runExperiment(b, "fig11") }
-func BenchmarkTable4Memcached(b *testing.B)       { runExperiment(b, "tab4") }
-
-// Ablations of SUVM design choices (beyond the paper's figures).
-
-func BenchmarkAblationWriteBack(b *testing.B) { runExperiment(b, "abl-wb") }
-func BenchmarkAblationLinkCache(b *testing.B) { runExperiment(b, "abl-link") }
-func BenchmarkAblationPageSize(b *testing.B)  { runExperiment(b, "abl-pgsz") }
-func BenchmarkAblationEviction(b *testing.B)  { runExperiment(b, "abl-evict") }
-
-func BenchmarkAblationBatching(b *testing.B) { runExperiment(b, "abl-batch") }

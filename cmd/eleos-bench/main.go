@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,42 +21,6 @@ import (
 
 	"eleos/internal/bench"
 )
-
-// writeCSV renders each of the experiment's tables as <id>[_n].csv so
-// results can be loaded into plotting tools directly.
-func writeCSV(dir string, res *bench.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, t := range res.Tables {
-		name := res.ID
-		if i > 0 {
-			name = fmt.Sprintf("%s_%d", res.ID, i)
-		}
-		f, err := os.Create(filepath.Join(dir, name+".csv"))
-		if err != nil {
-			return err
-		}
-		w := csv.NewWriter(f)
-		if err := w.Write(t.Headers); err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.WriteAll(t.Rows); err != nil {
-			f.Close()
-			return err
-		}
-		w.Flush()
-		if err := w.Error(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // writeJSON renders the experiment — title, headers and rows of every
 // table — as BENCH_<id>.json (dashes mapped to underscores), the
@@ -97,7 +60,6 @@ func main() {
 		ops     = flag.Int("ops", 0, "operations per configuration (0 = experiment default)")
 		runs    = flag.Int("runs", 0, "variance runs per configuration (0 = experiment default)")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		csvDir  = flag.String("csv", "", "also write each experiment's tables as CSV into this directory")
 		jsonDir = flag.String("json", "", "also write each experiment as BENCH_<id>.json into this directory")
 	)
 	flag.Parse()
@@ -136,12 +98,6 @@ func main() {
 		}
 		fmt.Print(res.String())
 		fmt.Printf("[%s completed in %.1fs host time]\n\n", e.ID, time.Since(start).Seconds())
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, res); err != nil {
-				fmt.Fprintf(os.Stderr, "eleos-bench: writing CSV for %s: %v\n", e.ID, err)
-				failed++
-			}
-		}
 		if *jsonDir != "" {
 			if err := writeJSON(*jsonDir, res); err != nil {
 				fmt.Fprintf(os.Stderr, "eleos-bench: writing JSON for %s: %v\n", e.ID, err)
