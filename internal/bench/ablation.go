@@ -230,23 +230,12 @@ func kvEnclaveTable(v *env) *kv.FixedTable {
 	const entries = 64 << 10
 	buckets := uint64(2 * entries)
 	mem := kv.EnclaveRegion(v.encl, kv.FixedTableMemSize(kv.Chaining, buckets, entries))
-	img, err := kv.BuildFixedImage(kv.Chaining, buckets, entries)
-	if err != nil {
-		panic(err)
-	}
-	for off := 0; off < len(img); off += 1 << 20 {
-		end := off + 1<<20
-		if end > len(img) {
-			end = len(img)
-		}
-		if err := mem.Write(v.th, uint64(off), img[off:end]); err != nil {
-			panic(err)
-		}
-	}
 	tab, err := kv.NewFixedTable(mem, kv.Chaining, buckets, entries)
 	if err != nil {
 		panic(err)
 	}
-	tab.SetLoaded(entries)
+	if err := tab.Load(v.th, entries); err != nil {
+		panic(err)
+	}
 	return tab
 }

@@ -95,13 +95,6 @@ func (a *Arena) Free(addr uint64) error {
 	return a.alloc.Free(addr)
 }
 
-// AllocSize reports the usable size of an allocated block.
-func (a *Arena) AllocSize(addr uint64) (uint64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.alloc.BlockSize(addr)
-}
-
 // InUse returns the number of bytes currently allocated (rounded up to
 // block granularity, as a real buddy allocator would report).
 func (a *Arena) InUse() uint64 {

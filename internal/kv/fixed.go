@@ -1,8 +1,10 @@
 package kv
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"eleos/internal/sgx"
 )
@@ -280,4 +282,79 @@ func (t *FixedTable) chainAdd(th *sgx.Thread, key, delta uint64) error {
 		return err
 	}
 	return writeU64(th, t.mem, off, v+delta)
+}
+
+// loadChunk is the size of the writes Load streams into the region.
+const loadChunk = 1 << 20
+
+// Load fills a new, empty table with keys 1..entries, each mapping to
+// value=key: the bytes entries sequential Put calls would leave,
+// written in offset order loadChunk bytes at a time. Set-up uses it
+// because inserting hundreds of megabytes element by element through
+// the simulated memory system costs minutes of host time and changes
+// no measurement.
+func (t *FixedTable) Load(th *sgx.Thread, entries uint64) error {
+	if entries > math.MaxUint32 {
+		return fmt.Errorf("kv: bulk load of %d entries exceeds %d", entries, uint64(math.MaxUint32))
+	}
+	word, err := t.loadWords(entries)
+	if err != nil {
+		return err
+	}
+	size := FixedTableMemSize(t.layout, t.buckets, entries)
+	buf := make([]byte, min(size, loadChunk))
+	for off := uint64(0); off < size; off += loadChunk {
+		chunk := buf[:min(size-off, loadChunk)]
+		for i := 0; i < len(chunk); i += 8 {
+			binary.LittleEndian.PutUint64(chunk[i:], word((off+uint64(i))/8))
+		}
+		if err := t.mem.Write(th, off, chunk); err != nil {
+			return err
+		}
+	}
+	t.nodeCount = entries
+	return nil
+}
+
+// loadWords inserts keys 1..entries into a compact host-side model of
+// the table and returns the table's content as a function of the
+// 8-byte word index. Every field of both layouts is one aligned word.
+func (t *FixedTable) loadWords(entries uint64) (func(w uint64) uint64, error) {
+	mask := t.buckets - 1
+	if t.layout == OpenAddressing {
+		if entries > t.buckets {
+			return nil, ErrFull
+		}
+		// First-come linear probing, as openPut does; a slot holds its key.
+		slots := make([]uint32, t.buckets)
+		for key := uint64(1); key <= entries; key++ {
+			idx := hash64(key) & mask
+			for slots[idx] != 0 {
+				idx = (idx + 1) & mask
+			}
+			slots[idx] = uint32(key)
+		}
+		return func(w uint64) uint64 { return uint64(slots[w/2]) }, nil
+	}
+	if entries > t.nodeCap {
+		return nil, ErrFull
+	}
+	// Node n holds key n (insertion order); chainInsert pushes at the head.
+	heads := make([]uint32, t.buckets)
+	next := make([]uint32, entries+1)
+	for key := uint64(1); key <= entries; key++ {
+		b := hash64(key) & mask
+		next[key] = heads[b]
+		heads[b] = uint32(key)
+	}
+	return func(w uint64) uint64 {
+		if w < t.buckets {
+			return uint64(heads[w])
+		}
+		n, field := (w-t.buckets)/3+1, (w-t.buckets)%3
+		if field == 2 {
+			return uint64(next[n])
+		}
+		return n
+	}, nil
 }

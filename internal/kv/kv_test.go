@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"eleos/internal/cache"
 	"eleos/internal/sgx"
 	"eleos/internal/suvm"
 )
@@ -91,29 +92,126 @@ func TestFixedTableAllPlacementsAllLayouts(t *testing.T) {
 	}
 }
 
-func TestBulkImageMatchesIncrementalInserts(t *testing.T) {
+// writeLog is a Mem that records the extent of every write.
+type writeLog struct {
+	Mem
+	writes [][2]uint64 // offset, length
+}
+
+func (w *writeLog) Write(th *sgx.Thread, off uint64, data []byte) error {
+	w.writes = append(w.writes, [2]uint64{off, uint64(len(data))})
+	return w.Mem.Write(th, off, data)
+}
+
+func TestLoadMatchesSequentialPuts(t *testing.T) {
 	f := newFixture(t)
-	const entries = 1000
-	buckets := uint64(2048)
-	for _, layout := range []Layout{OpenAddressing, Chaining} {
-		size := FixedTableMemSize(layout, buckets, entries)
-		img, err := BuildFixedImage(layout, buckets, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem := HostRegion(f.plat, size)
-		tab, _ := NewFixedTable(mem, layout, buckets, entries)
-		for k := uint64(1); k <= entries; k++ {
-			if err := tab.Put(f.th, k, k); err != nil {
+	cases := []struct {
+		name             string
+		layout           Layout
+		buckets, entries uint64
+		wraps            bool // a probe cluster wraps past the last slot
+	}{
+		{"open/small", OpenAddressing, 2048, 1000, false},
+		{"open/2-chunks", OpenAddressing, 1 << 17, 3000, false},
+		{"open/full-wraps", OpenAddressing, 8, 8, true},
+		{"chaining/small", Chaining, 2048, 1000, false},
+		// 128 KiB of heads then 24-byte nodes: the 1 MiB chunk
+		// boundary falls inside a node.
+		{"chaining/2-chunks", Chaining, 1 << 14, 40000, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			size := FixedTableMemSize(c.layout, c.buckets, c.entries)
+			want := HostRegion(f.plat, size)
+			tab, err := NewFixedTable(want, c.layout, c.buckets, c.entries)
+			if err != nil {
 				t.Fatal(err)
 			}
+			for k := uint64(1); k <= c.entries; k++ {
+				if err := tab.Put(f.th, k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := &writeLog{Mem: HostRegion(f.plat, size)}
+			loaded, err := NewFixedTable(got, c.layout, c.buckets, c.entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.Load(f.th, c.entries); err != nil {
+				t.Fatal(err)
+			}
+			wantBytes, gotBytes := make([]byte, size), make([]byte, size)
+			if err := want.Read(f.th, 0, wantBytes); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Read(f.th, 0, gotBytes); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatal("Load's bytes differ from sequential Puts")
+			}
+			for i, w := range got.writes {
+				if w[0] != uint64(i)*loadChunk || w[1] != min(size-w[0], loadChunk) {
+					t.Fatalf("write %d covers [%d,+%d), want offset-ordered %d-byte chunks", i, w[0], w[1], loadChunk)
+				}
+			}
+			if n := uint64(len(got.writes)); n != (size+loadChunk-1)/loadChunk {
+				t.Fatalf("%d writes for %d bytes", n, size)
+			}
+			if loaded.Len() != c.entries {
+				t.Fatalf("Len = %d after loading %d", loaded.Len(), c.entries)
+			}
+			if v, err := loaded.Get(f.th, c.entries); err != nil || v != c.entries {
+				t.Fatalf("Get(%d) = %d, %v", c.entries, v, err)
+			}
+			if c.wraps && !wrapsToSlotZero(gotBytes, c.buckets) {
+				t.Fatal("no probe cluster wraps past the last slot; pick another size")
+			}
+		})
+	}
+}
+
+// wrapsToSlotZero reports whether some key of an open-addressing image
+// sits at a lower slot than its home slot, i.e. its probe wrapped.
+func wrapsToSlotZero(img []byte, buckets uint64) bool {
+	for slot := uint64(0); slot < buckets; slot++ {
+		if k := leU64(img[slot*slotBytes:]); k != 0 && slot < hash64(k)&(buckets-1) {
+			return true
 		}
-		got := make([]byte, size)
-		if err := mem.Read(f.th, 0, got); err != nil {
-			t.Fatal(err)
+	}
+	return false
+}
+
+func TestLoadRejectsOverfullTables(t *testing.T) {
+	f := newFixture(t)
+	for _, layout := range []Layout{OpenAddressing, Chaining} {
+		mem := HostRegion(f.plat, FixedTableMemSize(layout, 8, 9))
+		tab, _ := NewFixedTable(mem, layout, 8, 8)
+		if err := tab.Load(f.th, 9); err != ErrFull {
+			t.Fatalf("%v: loading 9 entries into 8 = %v, want ErrFull", layout, err)
 		}
-		if !bytes.Equal(got, img) {
-			t.Fatalf("%v: bulk image differs from incremental inserts", layout)
+	}
+}
+
+// BenchmarkFixedTableLoad loads a parameter-server table of ps-spill's
+// size (2M entries, 4M slots, 64 MiB) into host memory. Every Load
+// rewrites the whole image, so the iterations reuse one region.
+func BenchmarkFixedTableLoad(b *testing.B) {
+	plat, err := sgx.NewPlatform(sgx.Config{UsablePRMBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	th := plat.NewHostThread(cache.CoSDefault)
+	const entries, buckets = 2 << 20, 4 << 20
+	tab, err := NewFixedTable(HostRegion(plat, FixedTableMemSize(OpenAddressing, buckets, entries)), OpenAddressing, buckets, entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tab.Load(th, entries); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -51,9 +51,6 @@ func EnclaveRegion(e *sgx.Enclave, size uint64) *Region {
 	return NewRegion(e.Alloc(size), size)
 }
 
-// Base returns the region's first address.
-func (r *Region) Base() uint64 { return r.base }
-
 // Size returns the region length in bytes.
 func (r *Region) Size() uint64 { return r.size }
 

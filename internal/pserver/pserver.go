@@ -147,34 +147,10 @@ func New(plat *sgx.Platform, setup *sgx.Thread, cfg Config) (*Server, error) {
 		entries: entries,
 		reqBuf:  make([]byte, 64<<10),
 	}
-	if err := s.load(setup, mem, buckets); err != nil {
+	if err := table.Load(setup, entries); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// load populates keys 1..entries with value=key. Bulk layout is computed
-// in plain Go and streamed into the region in large writes, because
-// element-by-element insertion of hundreds of megabytes through the
-// simulated memory system would dominate host wall-clock time without
-// changing any measured number (loading is never measured).
-func (s *Server) load(setup *sgx.Thread, mem kv.Mem, buckets uint64) error {
-	img, err := kv.BuildFixedImage(s.cfg.Layout, buckets, s.entries)
-	if err != nil {
-		return err
-	}
-	const chunk = 1 << 20
-	for off := 0; off < len(img); off += chunk {
-		end := off + chunk
-		if end > len(img) {
-			end = len(img)
-		}
-		if err := mem.Write(setup, uint64(off), img[off:end]); err != nil {
-			return err
-		}
-	}
-	s.table.SetLoaded(s.entries)
-	return nil
 }
 
 // Close releases the server's socket buffers.

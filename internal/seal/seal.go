@@ -118,15 +118,6 @@ func (s *Sealer) Open(th *cycles.Thread, dst, ciphertext, aad []byte, n Nonce) (
 	return pt, nil
 }
 
-// Cost returns the modelled cycle cost of sealing or opening n bytes,
-// without performing any work. Used by analytic paths in the harness.
-func (s *Sealer) Cost(n int) uint64 {
-	if s.model == nil {
-		return 0
-	}
-	return s.model.AESCycles(n)
-}
-
 func (s *Sealer) charge(th *cycles.Thread, n int) {
 	if th != nil && s.model != nil {
 		th.Charge(s.model.AESCycles(n))

@@ -41,6 +41,11 @@ type Driver struct {
 	//eleos:lockorder 110
 	mu         sync.Mutex
 	freeFrames []int32
+	// written marks the frames that may hold non-zero bytes: set when a
+	// frame is released from a dirty page or loaded by ELDU, dropped
+	// when a demand-zero fault clears it. A frame never written keeps
+	// the zeros it was allocated with, so the host never touches it.
+	written    []bool
 	enclaves   map[int]*Enclave
 	evictBatch int
 	stats      DriverStats
@@ -69,6 +74,7 @@ func newDriver(p *Platform, numFrames, evictBatch int) *Driver {
 		plat:       p,
 		frames:     make([]byte, numFrames*phys.PageSize),
 		freeFrames: make([]int32, 0, numFrames),
+		written:    make([]bool, numFrames),
 		enclaves:   make(map[int]*Enclave),
 		evictBatch: evictBatch,
 	}
@@ -183,7 +189,7 @@ func (d *Driver) unregister(e *Enclave) {
 	for i := range e.pages {
 		p := &e.pages[i]
 		if p.state == pageResident {
-			d.freeFrames = append(d.freeFrames, p.frame)
+			d.release(p)
 		}
 		p.state = pageAbsent
 	}
@@ -287,7 +293,10 @@ func (d *Driver) fault(th *Thread, e *Enclave, idx uint64, write bool) {
 	case pageAbsent:
 		// Demand-zero materialization (EAUG-style).
 		d.stats.DemandZero++
-		clear(data)
+		if d.written[frame] {
+			clear(data)
+			d.written[frame] = false
+		}
 	case pageEvicted:
 		// ELDU: fetch the sealed blob from untrusted memory, verify and
 		// decrypt it into the frame. The crypto cost is part of
@@ -305,6 +314,7 @@ func (d *Driver) fault(th *Thread, e *Enclave, idx uint64, write bool) {
 		}
 		d.plat.FreeHost(p.blobAddr)
 		p.blobAddr = 0
+		d.written[frame] = true
 		d.stats.PageIns++
 	}
 	p.state = pageResident
@@ -320,8 +330,9 @@ func (d *Driver) fault(th *Thread, e *Enclave, idx uint64, write bool) {
 // if the pool is empty. Called with d.mu held (and possibly e.pagingMu —
 // reclaim handles self-eviction re-entrantly via the caller's lock).
 func (d *Driver) takeFrameLocked(th *Thread, faulting *Enclave) int32 {
-	if len(d.freeFrames) == 0 {
-		d.reclaimLocked(th, faulting)
+	// A victim whose resident list held only pages freed since yields
+	// no frame, but its sweep drops those entries: pick again.
+	for len(d.freeFrames) == 0 && d.reclaimLocked(th, faulting) {
 	}
 	if len(d.freeFrames) == 0 {
 		panic("sgx: PRM exhausted and reclaim found no victim (all pages pinned?)")
@@ -338,18 +349,21 @@ func (d *Driver) takeFrameLocked(th *Thread, faulting *Enclave) int32 {
 // thread whose fault triggered the reclaim, which is also the CPU the
 // swapper work runs on.
 //
+// It reports whether the round changed the victim's resident list.
+//
 // Called with d.mu held; the faulting enclave's pagingMu may be held, so
 // victim lock acquisition tracks whether the victim is the faulter.
-func (d *Driver) reclaimLocked(th *Thread, faulting *Enclave) {
+func (d *Driver) reclaimLocked(th *Thread, faulting *Enclave) bool {
 	victim := d.pickVictimEnclaveLocked(faulting)
 	if victim == nil {
-		return
+		return false
 	}
 	d.stats.Rounds++
 	if victim != faulting {
 		victim.pagingMu.Lock()
 		defer victim.pagingMu.Unlock()
 	}
+	listed := len(victim.resident)
 	evicted := 0
 	for evicted < d.evictBatch {
 		if !d.evictOneLocked(th, victim) {
@@ -358,7 +372,7 @@ func (d *Driver) reclaimLocked(th *Thread, faulting *Enclave) {
 		evicted++
 	}
 	if evicted == 0 {
-		return
+		return len(victim.resident) < listed
 	}
 	// One shootdown round: the driver's swapper runs asynchronously with
 	// the enclave, so it IPIs every core in the victim enclave's cpumask
@@ -374,6 +388,7 @@ func (d *Driver) reclaimLocked(th *Thread, faulting *Enclave) {
 		d.stats.IPIs++
 		victim.stats.bumpIPIs()
 	}
+	return true
 }
 
 // pickVictimEnclaveLocked selects the enclave to reclaim from: the one
@@ -469,7 +484,7 @@ func (d *Driver) sealOutLocked(th *Thread, v *Enclave, idx uint64, p *page) {
 	p.nonce = nonce
 	p.blobAddr = blobAddr
 	p.state = pageEvicted
-	d.freeFrames = append(d.freeFrames, p.frame)
+	d.release(p)
 	p.frame = -1
 	d.stats.Evictions++
 	v.stats.bumpEvictions()
@@ -482,10 +497,20 @@ func (d *Driver) freePagesLocked(e *Enclave, first, n uint64) {
 		p := &e.pages[i]
 		switch p.state {
 		case pageResident:
-			d.freeFrames = append(d.freeFrames, p.frame)
+			d.release(p)
 		case pageEvicted:
 			d.plat.FreeHost(p.blobAddr)
 		}
 		*p = page{frame: -1}
 	}
+}
+
+// release returns a resident page's frame to the pool, marking it
+// written if the page was written since it was materialized. Called
+// with d.mu and the owning enclave's pagingMu held.
+func (d *Driver) release(p *page) {
+	if p.dirty.Load() {
+		d.written[p.frame] = true
+	}
+	d.freeFrames = append(d.freeFrames, p.frame)
 }

@@ -88,11 +88,6 @@ func (th *Thread) Enter() {
 	th.enterStamp = th.T.Cycles()
 }
 
-// EnclaveCycles returns the cycles this thread has spent executing
-// inside the enclave (up to its last exit; call while outside, or after
-// SyncEnclaveCycles, for an up-to-date figure).
-func (th *Thread) EnclaveCycles() uint64 { return th.encCycles }
-
 // SyncEnclaveCycles folds the current in-enclave stint into the
 // accumulator without exiting, so callers can sample mid-run.
 func (th *Thread) SyncEnclaveCycles() uint64 {

@@ -43,9 +43,6 @@ func (p *SPtr) Offset() uint64 { return p.off }
 // Linked reports whether the spointer currently caches a translation.
 func (p *SPtr) Linked() bool { return p.frame >= 0 }
 
-// Direct reports whether the allocation uses sub-page direct access.
-func (p *SPtr) Direct() bool { return p.direct }
-
 // BackingBase returns the untrusted-memory address of the allocation's
 // sealed backing bytes. This is not secret — the host OS allocates and
 // services that memory — and is exposed for tests and side-channel

@@ -202,7 +202,8 @@ func faceverifyGoldenWorkload(t *testing.T, mode exitio.Mode) serverFingerprint 
 	return v.fingerprint()
 }
 
-// Pinned fingerprints, keyed "<server>/<mode>" with the mode's String.
+// Pinned fingerprints, keyed "<server>/<mode>" with the mode's String;
+// TestServerCyclesMatchSeed prints the entry to pin on a mismatch.
 // Any divergence means the exitio dispatch path no longer charges the
 // same cycle sequence as the code it replaced, and every server
 // benchmark number stops being comparable to earlier runs. Each
@@ -223,8 +224,8 @@ var goldenServerFingerprints = map[string]serverFingerprint{
 	"faceverify/rpc-async": {581935941, 411935917, 4915434},
 }
 
-// goldenServers maps each server to its fingerprint workload, in print
-// order; goldenModes lists the dispatch modes every server runs under.
+// goldenServers maps each server to its fingerprint workload;
+// goldenModes lists the dispatch modes every server runs under.
 var (
 	goldenServers = []struct {
 		name string
@@ -244,27 +245,11 @@ func TestServerCyclesMatchSeed(t *testing.T) {
 			name := srv.name + "/" + mode.String()
 			t.Run(name, func(t *testing.T) {
 				want, ok := goldenServerFingerprints[name]
-				if !ok {
-					t.Fatalf("no pinned fingerprint for %s", name)
-				}
-				if got := srv.run(t, mode); got != want {
-					t.Fatalf("server fingerprint diverged from seed:\n got  %v\n want %v\n(fields: cycles, in-enclave cycles, LLC misses)", got, want)
+				if got := srv.run(t, mode); !ok || got != want {
+					t.Fatalf("server fingerprint %v, pinned %v (fields: cycles, in-enclave cycles, LLC misses); "+
+						"if the change is intended, pin:\n\t%q: {%d, %d, %d},", got, want, name, got[0], got[1], got[2])
 				}
 			})
-		}
-	}
-}
-
-// TestServersGoldenPrint prints current fingerprints; used to
-// (re)capture the constants above when the cost model changes
-// intentionally.
-func TestServersGoldenPrint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("capture helper")
-	}
-	for _, srv := range goldenServers {
-		for _, mode := range goldenModes {
-			fmt.Printf("%s/%s: %v\n", srv.name, mode, srv.run(t, mode))
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package eleos
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // Consolidation golden: running three services in ONE enclave (each on
 // its own carved heap domain) must charge every service exactly the
@@ -171,6 +168,7 @@ func runSeparate(t *testing.T) []svcGoldenFingerprint {
 
 // goldenServiceFingerprints pins the per-service outcomes (identical in
 // both configurations by construction; asserted against both).
+// TestConsolidationCycleEquality prints the entry to pin on a mismatch.
 var goldenServiceFingerprints = []svcGoldenFingerprint{
 	{Cycles: 624000, Faults: 64}, // alpha
 	{Cycles: 624000, Faults: 64}, // beta
@@ -186,20 +184,8 @@ func TestConsolidationCycleEquality(t *testing.T) {
 				w.name, one[i], three[i])
 		}
 		if one[i] != goldenServiceFingerprints[i] {
-			t.Errorf("service %s: fingerprint diverged from seed:\n got  %+v\n want %+v",
-				w.name, one[i], goldenServiceFingerprints[i])
+			t.Errorf("service %s: fingerprint %+v, pinned %+v; if the change is intended, pin:\n\t{Cycles: %d, Faults: %d}, // %s",
+				w.name, one[i], goldenServiceFingerprints[i], one[i].Cycles, one[i].Faults, w.name)
 		}
-	}
-}
-
-// TestServicesGoldenPrint prints current fingerprints; used to
-// (re)capture goldenServiceFingerprints when the cost model changes
-// intentionally.
-func TestServicesGoldenPrint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("capture helper")
-	}
-	for i, fp := range runConsolidated(t) {
-		fmt.Printf("%s: %+v\n", svcGoldenWorkloads[i].name, fp)
 	}
 }
